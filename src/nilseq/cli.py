@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -33,9 +32,15 @@ from .automaton import (
     verify_zero_invariance,
 )
 from .digits import DigitWord, from_digits
-from .exactreal import ExactReal, IntervalValue, PrecisionExhausted, exact_enclosure
-from .genpoly import (
+from .exactreal import (
+    ExactReal,
+    IntervalValue,
+    PrecisionExhausted,
     PrecisionPolicy,
+    default_max_bits,
+    exact_enclosure,
+)
+from .genpoly import (
     Seq,
     equidistribution_test,
     eval_gp,
@@ -85,13 +90,8 @@ from .sparsity import (
 from . import fixtures
 
 
-def _max_bits_default() -> int:
-    env = os.environ.get("NILSEQ_MAX_BITS")
-    return int(env) if env else 4096
-
-
 def _policy(args) -> PrecisionPolicy:
-    max_bits = getattr(args, "max_bits", None) or _max_bits_default()
+    max_bits = getattr(args, "max_bits", None) or default_max_bits()
     return PrecisionPolicy(start_bits=min(64, max_bits), max_bits=max_bits)
 
 
@@ -115,19 +115,17 @@ def _iv_json(iv: IntervalValue) -> dict:
 @dataclass
 class RunConfig:
     """Echo of the run parameters; a fixed config (seed included) yields
-    byte-identical report payloads regardless of the worker count (all
-    operations are pure with deterministic merges)."""
+    byte-identical report payloads (all operations are pure and
+    deterministic)."""
 
     subcommand: str
     output_format: str
     max_bits: int
     seed: int
-    workers: int
 
     def to_jsonable(self) -> dict:
         return {"subcommand": self.subcommand, "format": self.output_format,
-                "max_bits": self.max_bits, "seed": self.seed,
-                "workers": self.workers}
+                "max_bits": self.max_bits, "seed": self.seed}
 
 
 @dataclass
@@ -365,8 +363,7 @@ def _parse_pred(args):
         return dfao.eval, text
     if args.pred_expr:
         expr = parse_gp(args.pred_expr)
-        policy = PrecisionPolicy(max_bits=_max_bits_default())
-        return (lambda n: eval_gp(expr, n, policy).integer_value), args.pred_expr
+        return (lambda n: eval_gp(expr, n).integer_value), args.pred_expr
     raise SystemExit("ip check requires --pred-file or --pred-expr")
 
 
@@ -603,7 +600,6 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="nilseq")
     top.add_argument("--format", choices=("json", "csv"), default="json")
     top.add_argument("--seed", type=int, default=20160517)
-    top.add_argument("--workers", type=int, default=1)
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("automaton")
@@ -703,8 +699,8 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     config = RunConfig(args.command, args.format,
-                       getattr(args, "max_bits", None) or _max_bits_default(),
-                       args.seed, args.workers)
+                       getattr(args, "max_bits", None) or default_max_bits(),
+                       args.seed)
     report = Report(command=list(argv), inputs_digest="", config=config)
     start = time.time()
     try:

@@ -5,7 +5,9 @@ Two layers cooperate here:
 * exact field elements (rationals, quadratic surds a + b*sqrt(d), rational
   combinations of distinct surds, and elements of a fixed cubic number
   field), with exact arithmetic, sign, and floor -- the fast path that
-  decides integer-part operations without any precision ladder;
+  decides integer-part operations exactly (a surd sum with surviving surd
+  terms, or a cubic element outside Q, is irrational, so refining its
+  enclosure always settles its floor and sign);
 
 * ``IntervalValue`` enclosures with dyadic endpoints for everything else
   (pi, e, roots of higher degree, mixed-field products), refinable to any
@@ -14,14 +16,19 @@ Two layers cooperate here:
 Floors of interval values are resolved only when the enclosure excludes the
 neighbouring integers; equality with an integer can never be proven by an
 interval alone, which is why the exact layer exists.
+
+Every enclosure-based decision runs on one precision ladder, ``decide``,
+and the mixed ``value_*`` operations combine exact and interval values.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, TypeVar, Union
 
 import mpmath
 
@@ -33,6 +40,71 @@ class PrecisionExhausted(Exception):
     def __init__(self, message, detail=None):
         super().__init__(message)
         self.detail = detail
+
+
+class NeedsMoreBits(Exception):
+    """Raised inside a ``decide`` callback when the enclosures at the current
+    precision cannot settle the answer."""
+
+    def __init__(self, message, detail=None):
+        super().__init__(message)
+        self.detail = detail
+
+
+def default_max_bits() -> int:
+    """The precision ceiling: ``NILSEQ_MAX_BITS``, 4096 when unset."""
+    env = os.environ.get("NILSEQ_MAX_BITS")
+    return int(env) if env else 4096
+
+
+@dataclass(frozen=True)
+class PrecisionPolicy:
+    start_bits: int = 64
+    max_bits: int = field(default_factory=default_max_bits)
+
+    def __post_init__(self):
+        if self.start_bits > self.max_bits:
+            raise ValueError("start_bits must not exceed max_bits")
+        if self.start_bits < 1:
+            raise ValueError("start_bits must be positive")
+        rungs, bits = [], self.start_bits
+        while bits < self.max_bits:
+            rungs.append(bits)
+            bits *= 2
+        # built once: exact floors and Z[beta] signs decide millions of times
+        object.__setattr__(self, "_rungs", (*rungs, self.max_bits))
+
+    def ladder(self) -> tuple[int, ...]:
+        """start_bits, doubling, up to and including max_bits."""
+        return self._rungs
+
+
+def default_policy(start_bits: int = 64) -> PrecisionPolicy:
+    """The policy of a site that starts at ``start_bits`` under the default
+    ceiling (a ceiling below the start is one rung)."""
+    return _capped_policy(start_bits, default_max_bits())
+
+
+@functools.lru_cache(maxsize=None)
+def _capped_policy(start_bits: int, max_bits: int) -> PrecisionPolicy:
+    return PrecisionPolicy(min(start_bits, max_bits), max_bits)
+
+
+T = TypeVar("T")
+
+
+def decide(fn: Callable[[int], T], policy: Optional[PrecisionPolicy] = None) -> T:
+    """fn(bits) on each rung of the policy's ladder until it returns without
+    raising ``NeedsMoreBits``; ``PrecisionExhausted`` at the ceiling."""
+    policy = policy or default_policy()
+    for bits in policy.ladder():
+        try:
+            return fn(bits)
+        except NeedsMoreBits as exc:
+            # not the exception itself: its traceback would hold this frame
+            # in a reference cycle, pinning the failed attempt's values
+            message, detail = str(exc), exc.detail
+    raise PrecisionExhausted(f"{message} at {policy.max_bits} bits", detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -74,18 +146,36 @@ def _cmp_surd(r: Fraction, d: int, c: Fraction) -> int:
     return -_cmp_surd(-r, d, -c)
 
 
+_TRIAL_BOUND = 1 << 16
+
+
 def _squarefree(n: int) -> tuple[int, int]:
-    """Write n = s^2 * m with m squarefree; returns (s, m)."""
+    """Write n = s^2 * m with m squarefree; returns (s, m).
+
+    Trial division stops at _TRIAL_BOUND.  What is left then has no prime
+    factor below p; under p^3 it is 1, a prime, a product of two primes or
+    the square of a prime, and isqrt tells the square apart.  A larger rest
+    cannot be split, so the radicand is rejected.
+    """
     if n <= 0:
         raise ValueError("expected a positive integer")
-    s, m, p = 1, n, 2
-    while p * p <= m:
-        if m % (p * p) == 0:
-            while m % (p * p) == 0:
-                m //= p * p
-                s *= p
+    s, m, rest, p = 1, 1, n, 2
+    while p <= _TRIAL_BOUND and p * p <= rest:
+        e = 0
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        s *= p ** (e // 2)
+        m *= p ** (e % 2)
         p += 1
-    return s, m
+    if rest >= p * p * p:
+        raise ValueError(f"cannot decide whether {n} is squarefree: trial "
+                         f"division to {_TRIAL_BOUND} leaves a "
+                         f"{rest.bit_length()}-bit cofactor")
+    r = math.isqrt(rest)
+    if r * r == rest:
+        return s * r, m
+    return s, m * rest
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +236,6 @@ class IntervalValue:
         fu = self.upper.__floor__()
         return fl if fl == fu else None
 
-    def decide_lt(self, threshold) -> Optional[bool]:
-        t = Fraction(threshold)
-        if self.upper < t:
-            return True
-        if self.lower >= t:
-            return False
-        return None
-
     def sign(self) -> Optional[int]:
         if self.lower > 0:
             return 1
@@ -189,9 +271,6 @@ class QuadElem:
     a: Fraction
     b: Fraction
     d: int
-
-    def conj(self) -> "QuadElem":
-        return QuadElem(self.a, -self.b, self.d)
 
 
 @dataclass(frozen=True)
@@ -298,8 +377,9 @@ def _surdsum_mul(x: SurdSum, y: SurdSum) -> Exact:
         put(c * x.rat, d)
     for cx, dx in x.terms:
         for cy, dy in y.terms:
-            s, m = _squarefree(dx * dy)
-            put(cx * cy * s, m)
+            # dx, dy squarefree: sqrt(dx dy) = g sqrt((dx/g)(dy/g)), g = gcd
+            g = math.gcd(dx, dy)
+            put(cx * cy * g, (dx // g) * (dy // g))
     terms = tuple((coeffs[d], d) for d in sorted(coeffs))
     return _surdsum_collapse(SurdSum(rat, terms))
 
@@ -311,43 +391,26 @@ def _surdsum_enclosure(x: SurdSum, bits: int) -> IntervalValue:
     return acc
 
 
-def _surdsum_floor(x: SurdSum) -> int:
-    # a sum with surviving surd terms is irrational, so refinement resolves
-    bits = 32
-    while True:
-        f = _surdsum_enclosure(x, bits).floor_resolved()
-        if f is not None:
-            return f
-        bits *= 2
-
-
 # ---------------------------------------------------------------------------
 # cubic number fields
 
 
-class CubicField:
-    """Q(beta) for beta the designated real root of a monic integer cubic.
+class _BisectRoot:
+    """A designated simple root of an integer polynomial, isolated in
+    [lo, hi] and refined by bisection with nested enclosures."""
 
-    The isolating interval certifies which root; bisection refines it with
-    nested enclosures.  The polynomial must be irreducible over Q (no
-    rational root), so nonconstant elements are irrational and signs and
-    floors always resolve.
-    """
-
-    def __init__(self, coeffs: tuple[int, int, int, int], lo, hi):
-        if coeffs[0] != 1:
-            raise ValueError("minimal polynomial must be monic")
+    def __init__(self, coeffs, lo, hi):
         self.coeffs = tuple(int(c) for c in coeffs)
-        lo, hi = Fraction(lo), Fraction(hi)
-        slo, shi = self._poly_sign(lo), self._poly_sign(hi)
+        self._lo, self._hi = Fraction(lo), Fraction(hi)
+        slo, shi = self._poly_sign(self._lo), self._poly_sign(self._hi)
         if slo == 0 or shi == 0 or slo == shi:
             raise ValueError("interval endpoints must straddle a simple root")
-        self._lo, self._hi = lo, hi
         self._sign_lo = slo
 
     def _poly_sign(self, x: Fraction) -> int:
-        c3, c2, c1, c0 = self.coeffs
-        v = ((Fraction(c3) * x + c2) * x + c1) * x + c0
+        v = Fraction(self.coeffs[0])
+        for c in self.coeffs[1:]:
+            v = v * x + c
         return (v > 0) - (v < 0)
 
     def refine(self, bits: int) -> tuple[Fraction, Fraction]:
@@ -363,9 +426,63 @@ class CubicField:
                 self._hi = mid
         return self._lo, self._hi
 
-    def root_enclosure(self, bits: int) -> IntervalValue:
+    def enclosure(self, bits: int) -> IntervalValue:
         lo, hi = self.refine(bits)
         return IntervalValue(lo, hi, bits)
+
+
+def _has_integer_root(a: int, b: int, c: int) -> bool:
+    """Whether x^3 + a x^2 + b x + c has an integer root.
+
+    The roots lie in (-bound, bound), and the cubic is monotone on each run
+    of integers between the floors of its critical points (-a +- sqrt(d))/3,
+    so bisection finds any integer root of a run in O(log bound) steps.
+    """
+    def p(x):
+        return ((x + a) * x + b) * x + c
+
+    bound = 1 + max(abs(a), abs(b), abs(c))
+    cuts = {-bound - 1, bound}
+    d = a * a - 3 * b
+    if d > 0:
+        r = math.isqrt(d)
+        for f in ((-a - r - (r * r < d)) // 3, (-a + r) // 3):
+            cuts.add(min(max(f, -bound - 1), bound))
+    cuts = sorted(cuts)
+    for lo, hi in zip(cuts, cuts[1:]):
+        lo += 1  # the run is the integers lo..hi
+        if p(lo) == 0 or p(hi) == 0:
+            return True
+        positive_lo = p(lo) > 0
+        if positive_lo == (p(hi) > 0):
+            continue
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            v = p(mid)
+            if v == 0:
+                return True
+            if (v > 0) == positive_lo:
+                lo = mid
+            else:
+                hi = mid
+    return False
+
+
+class CubicField(_BisectRoot):
+    """Q(beta) for beta the designated real root of a monic integer cubic.
+
+    The isolating interval certifies which root; bisection refines it with
+    nested enclosures.  A cubic with a rational (hence integer) root is
+    rejected, so nonconstant elements are irrational and signs and floors
+    always resolve.
+    """
+
+    def __init__(self, coeffs: tuple[int, int, int, int], lo, hi):
+        if coeffs[0] != 1:
+            raise ValueError("minimal polynomial must be monic")
+        if _has_integer_root(*(int(c) for c in coeffs[1:])):
+            raise ValueError("cubic has a rational root: polynomial is reducible")
+        super().__init__(coeffs, lo, hi)
 
     def element(self, c0, c1=0, c2=0) -> "CubicElem":
         return CubicElem(self, (Fraction(c0), Fraction(c1), Fraction(c2)))
@@ -421,7 +538,7 @@ def _cubic_scale(x: CubicElem, r: Fraction) -> CubicElem:
 
 
 def _cubic_enclosure(x: CubicElem, bits: int) -> IntervalValue:
-    root = x.field.root_enclosure(bits)
+    root = x.field.enclosure(bits)
     acc = IntervalValue.exactly(x.c[0], bits)
     if x.c[1]:
         acc = acc + IntervalValue.exactly(x.c[1], bits) * root
@@ -430,31 +547,10 @@ def _cubic_enclosure(x: CubicElem, bits: int) -> IntervalValue:
     return acc
 
 
-def _cubic_sign(x: CubicElem) -> int:
-    if x.is_zero():
-        return 0
-    r = x.is_rational()
-    if r is not None:
-        return (r > 0) - (r < 0)
-    bits = 32
-    while True:
-        s = _cubic_enclosure(x, bits).sign()
-        if s is not None:
-            return s
-        bits *= 2
-
-
-def _cubic_floor(x: CubicElem) -> int:
-    r = x.is_rational()
-    if r is not None:
-        return r.__floor__()
-    # irrational (irreducible cubic), so the enclosure eventually resolves
-    bits = 32
-    while True:
-        f = _cubic_enclosure(x, bits).floor_resolved()
-        if f is not None:
-            return f
-        bits *= 2
+def _refine(x: Exact, read: Callable[[Value], int]) -> int:
+    """read(enclosure of x) on the exact layer's ladder, which starts at 32
+    bits; x is irrational, so the floor or sign settles."""
+    return decide(lambda bits: read(exact_enclosure(x, bits)), default_policy(32))
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +611,10 @@ def exact_floor(x: Exact) -> int:
     if isinstance(x, QuadElem):
         return _quad_floor(x)
     if isinstance(x, SurdSum):
-        return _surdsum_floor(x)
+        return _refine(x, value_floor)
     if isinstance(x, CubicElem):
-        return _cubic_floor(x)
+        r = x.is_rational()
+        return r.__floor__() if r is not None else _refine(x, value_floor)
     raise TypeError(type(x))
 
 
@@ -527,14 +624,10 @@ def exact_sign(x: Exact) -> int:
     if isinstance(x, QuadElem):
         return _cmp_surd(x.b, x.d, -x.a)
     if isinstance(x, SurdSum):
-        bits = 32
-        while True:
-            s = _surdsum_enclosure(x, bits).sign()
-            if s is not None:
-                return s
-            bits *= 2
+        return _refine(x, value_sign)
     if isinstance(x, CubicElem):
-        return _cubic_sign(x)
+        r = x.is_rational()
+        return (r > 0) - (r < 0) if r is not None else _refine(x, value_sign)
     raise TypeError(type(x))
 
 
@@ -568,16 +661,63 @@ def exact_is_integer(x: Exact) -> Optional[int]:
     return None  # surviving surd/cubic parts are irrational
 
 
-def exact_to_float(x: Exact) -> float:
-    return exact_enclosure(x, 64).to_float()
+# ---------------------------------------------------------------------------
+# mixed exact-or-interval values (an exact operation that leaves the exact
+# layer falls back to enclosures at the working precision)
+
+
+Value = Union[Exact, IntervalValue]
+
+
+def to_interval(x: Value, bits: int) -> IntervalValue:
+    if isinstance(x, IntervalValue):
+        return x
+    return exact_enclosure(x, bits)
+
+
+def value_add(x: Value, y: Value, bits: int) -> Value:
+    if not isinstance(x, IntervalValue) and not isinstance(y, IntervalValue):
+        s = exact_add(x, y)
+        if s is not None:
+            return s
+    return to_interval(x, bits) + to_interval(y, bits)
+
+
+def value_mul(x: Value, y: Value, bits: int) -> Value:
+    if not isinstance(x, IntervalValue) and not isinstance(y, IntervalValue):
+        p = exact_mul(x, y)
+        if p is not None:
+            return p
+    return to_interval(x, bits) * to_interval(y, bits)
+
+
+def value_floor(x: Value) -> int:
+    """Exact floor, or the floor of an enclosure that excludes the
+    neighbouring integers; ``NeedsMoreBits`` otherwise."""
+    if not isinstance(x, IntervalValue):
+        return exact_floor(x)
+    f = x.floor_resolved()
+    if f is None:
+        raise NeedsMoreBits("floor argument straddles an integer", detail=x)
+    return f
+
+
+def value_sign(x: Value) -> int:
+    if not isinstance(x, IntervalValue):
+        return exact_sign(x)
+    s = x.sign()
+    if s is None:
+        raise NeedsMoreBits("sign unresolved: the enclosure contains 0", detail=x)
+    return s
 
 
 # ---------------------------------------------------------------------------
 # named constants and roots
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    sign, man, exp, _ = mpmath.mpf(x)._mpf_
+def _mpf_to_fraction(raw) -> Fraction:
+    """An mpf value tuple (sign, man, exp, bc) as an exact Fraction."""
+    sign, man, exp, _ = raw
     man, exp = int(man), int(exp)  # the gmpy backend hands back mpz
     if man == 0:
         return Fraction(0)
@@ -595,45 +735,14 @@ def _named_enclosure(name: str, bits: int) -> IntervalValue:
         try:
             mpmath.iv.prec = bits + 16
             x = mpmath.iv.pi if name == "pi" else mpmath.iv.e
-            lo = _mpf_to_fraction(x.a)
-            hi = _mpf_to_fraction(x.b)
+            # the raw endpoint tuples: x.a and x.b would round to mp.prec
+            lo, hi = (_mpf_to_fraction(end) for end in x._mpi_)
         finally:
             mpmath.iv.prec = old_prec
         # widen as a safety margin beyond the library's own outward rounding
         ulp = Fraction(1, 1 << (bits + 8))
         _named_cache[key] = IntervalValue(lo - ulp, hi + ulp, bits)
     return _named_cache[key]
-
-
-class _BisectRoot:
-    """Bisection enclosure of a designated simple root of an integer polynomial."""
-
-    def __init__(self, coeffs, lo, hi):
-        self.coeffs = [int(c) for c in coeffs]
-        self.lo, self.hi = Fraction(lo), Fraction(hi)
-        s_lo, s_hi = self._sign(self.lo), self._sign(self.hi)
-        if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
-            raise ValueError("endpoints must straddle a simple root")
-        self.sign_lo = s_lo
-
-    def _sign(self, x: Fraction) -> int:
-        v = Fraction(0)
-        for c in self.coeffs:
-            v = v * x + c
-        return (v > 0) - (v < 0)
-
-    def enclosure(self, bits: int) -> IntervalValue:
-        target = Fraction(1, 1 << bits)
-        while self.hi - self.lo > target:
-            mid = (self.lo + self.hi) / 2
-            sm = self._sign(mid)
-            if sm == 0:
-                raise ValueError("rational root hit; isolate a simple factor first")
-            if sm == self.sign_lo:
-                self.lo = mid
-            else:
-                self.hi = mid
-        return IntervalValue(self.lo, self.hi, bits)
 
 
 class ExactReal:
@@ -712,8 +821,7 @@ class ExactReal:
                 root = exact_add(Fraction(-b, 2 * a),
                                  exact_mul(make_quad(0, sgn, disc) if disc > 0
                                            else Fraction(0), Fraction(1, 2 * a)))
-                iv = exact_enclosure(root, 128)
-                if lo <= iv.lower and iv.upper <= hi:
+                if exact_compare(root, lo) >= 0 and exact_compare(root, hi) <= 0:
                     return cls("exact", root)
             raise ValueError("no root inside the isolating interval")
         if deg == 3 and coeffs[0] == 1:

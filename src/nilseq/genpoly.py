@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -26,14 +26,15 @@ from .exactreal import (
     Exact,
     ExactReal,
     IntervalValue,
-    PrecisionExhausted,
-    exact_add,
+    PrecisionPolicy,
+    decide,
     exact_enclosure,
-    exact_floor,
     exact_is_integer,
-    exact_mul,
-    exact_neg,
-    exact_sign,
+    to_interval,
+    value_add,
+    value_floor,
+    value_mul,
+    value_sign,
 )
 
 
@@ -169,33 +170,6 @@ def gp_poly(coeffs: Sequence) -> GpExpr:
 # evaluation
 
 
-@dataclass(frozen=True)
-class PrecisionPolicy:
-    start_bits: int = 64
-    max_bits: int = 4096
-    growth: int = 2
-
-    def __post_init__(self):
-        if self.start_bits > self.max_bits:
-            raise ValueError("start_bits must not exceed max_bits")
-
-    def ladder(self):
-        bits = self.start_bits
-        while True:
-            yield min(bits, self.max_bits)
-            if bits >= self.max_bits:
-                return
-            bits *= self.growth
-
-
-DEFAULT_POLICY = PrecisionPolicy()
-
-
-class _NeedsMoreBits(Exception):
-    def __init__(self, node):
-        self.node = node
-
-
 @dataclass
 class EvalResult:
     """A resolved evaluation: every floor decided, enclosure attached."""
@@ -215,12 +189,6 @@ class EvalResult:
         return self.exact
 
 
-def _to_interval(v, bits: int) -> IntervalValue:
-    if isinstance(v, IntervalValue):
-        return v
-    return exact_enclosure(v, bits)
-
-
 def _eval_node(expr: GpExpr, n: int, bits: int, use_exact: bool):
     if isinstance(expr, Const):
         if use_exact:
@@ -236,62 +204,36 @@ def _eval_node(expr: GpExpr, n: int, bits: int, use_exact: bool):
         acc = None
         for t in expr.terms:
             v = _eval_node(t, n, bits, use_exact)
-            if acc is None:
-                acc = v
-                continue
-            if not isinstance(acc, IntervalValue) and not isinstance(v, IntervalValue):
-                s = exact_add(acc, v)
-                if s is not None:
-                    acc = s
-                    continue
-            acc = _to_interval(acc, bits) + _to_interval(v, bits)
+            acc = v if acc is None else value_add(acc, v, bits)
         return acc if acc is not None else Fraction(0)
     if isinstance(expr, Mul):
         acc = None
         for f in expr.factors:
             v = _eval_node(f, n, bits, use_exact)
-            if acc is None:
-                acc = v
-                continue
-            if not isinstance(acc, IntervalValue) and not isinstance(v, IntervalValue):
-                p = exact_mul(acc, v)
-                if p is not None:
-                    acc = p
-                    continue
-            acc = _to_interval(acc, bits) * _to_interval(v, bits)
+            acc = v if acc is None else value_mul(acc, v, bits)
         return acc if acc is not None else Fraction(1)
     if isinstance(expr, Floor):
-        v = _eval_node(expr.arg, n, bits, use_exact)
-        if not isinstance(v, IntervalValue):
-            return Fraction(exact_floor(v))
-        f = v.floor_resolved()
-        if f is None:
-            raise _NeedsMoreBits(expr)
-        return Fraction(f)
+        return Fraction(value_floor(_eval_node(expr.arg, n, bits, use_exact)))
     raise TypeError(f"unknown node {expr!r}")
 
 
-def eval_gp(expr: GpExpr, n: int, policy: PrecisionPolicy = DEFAULT_POLICY,
+def eval_gp(expr: GpExpr, n: int, policy: Optional[PrecisionPolicy] = None,
             use_exact: bool = True) -> EvalResult:
     """Evaluate at integer n with every floor rigorously decided."""
-    last_node = None
-    for bits in policy.ladder():
-        try:
-            v = _eval_node(expr, n, bits, use_exact)
-        except _NeedsMoreBits as exc:
-            last_node = exc.node
-            continue
+
+    def at(bits: int) -> EvalResult:
+        v = _eval_node(expr, n, bits, use_exact)
         if isinstance(v, IntervalValue):
             return EvalResult(v, None, False, None, bits)
         iv = exact_enclosure(v, max(bits, 64))
         k = exact_is_integer(v)
         return EvalResult(iv, v, k is not None, k, bits)
-    raise PrecisionExhausted(
-        f"floor argument straddles an integer at {policy.max_bits} bits",
-        detail=last_node)
+
+    return decide(at, policy)
 
 
-def eval_gp_int(expr: GpExpr, n: int, policy: PrecisionPolicy = DEFAULT_POLICY) -> int:
+def eval_gp_int(expr: GpExpr, n: int,
+                policy: Optional[PrecisionPolicy] = None) -> int:
     res = eval_gp(expr, n, policy)
     if res.integer_value is None:
         raise ValueError("expression did not evaluate to an exact integer")
@@ -329,7 +271,7 @@ class Seq:
 
 
 def floor_poly_mod(coeffs: Sequence, m: int,
-                   policy: PrecisionPolicy = DEFAULT_POLICY) -> Seq:
+                   policy: Optional[PrecisionPolicy] = None) -> Seq:
     """The sequence n -> floor(p(n)) mod m for p with the given coefficients."""
     if m < 2:
         raise ValueError("modulus must be >= 2")
@@ -363,7 +305,7 @@ class Indicator:
 
     formal: GpExpr
     semantic: Callable[[int], int]
-    policy: PrecisionPolicy = field(default_factory=PrecisionPolicy)
+    policy: Optional[PrecisionPolicy] = None
 
     def formal_eval(self, n: int) -> int:
         return eval_gp_int(self.formal, n, self.policy)
@@ -373,7 +315,7 @@ class Indicator:
 
 
 def indicator_zero_set(h: GpExpr, theta: ExactReal,
-                       policy: PrecisionPolicy = DEFAULT_POLICY) -> Indicator:
+                       policy: Optional[PrecisionPolicy] = None) -> Indicator:
     """Indicator of {n : h(n) = 0} as 1 - ceil({theta * h(n)}).
 
     The caller guarantees theta * h(n) is irrational whenever h(n) != 0;
@@ -382,20 +324,14 @@ def indicator_zero_set(h: GpExpr, theta: ExactReal,
     formal = gp_add(1, gp_neg(gp_ceil(gp_fracpart(gp_mul(Const(theta), h)))))
 
     def semantic(n: int) -> int:
-        res = eval_gp(h, n, policy)
-        if res.exact is not None:
-            return 1 if exact_sign(res.exact) == 0 else 0
-        s = res.enclosure.sign()
-        if s is None:
-            raise PrecisionExhausted(
-                "cannot decide h(n) = 0 from an enclosure", detail=h)
-        return 1 if s == 0 else 0
+        return decide(lambda bits: int(value_sign(_eval_node(h, n, bits, True)) == 0),
+                      policy)
 
     return Indicator(formal, semantic, policy)
 
 
 def indicator_window(h: GpExpr, a, b, theta: ExactReal,
-                     policy: PrecisionPolicy = DEFAULT_POLICY) -> Indicator:
+                     policy: Optional[PrecisionPolicy] = None) -> Indicator:
     """Indicator of {n : a <= h(n) < b} via floor((h - a)/(b - a)) = 0."""
     a, b = Fraction(a), Fraction(b)
     if not b > a:
@@ -467,10 +403,6 @@ def kernel_census(seq: Seq, k: int, depth: int, prefix_len: int,
     return len(seen)
 
 
-def kernel_census_by_depth(seq: Seq, k: int, depth: int, prefix_len: int) -> list[int]:
-    return [kernel_census(seq, k, t, prefix_len) for t in range(depth + 1)]
-
-
 # ---------------------------------------------------------------------------
 # density estimates
 
@@ -519,20 +451,16 @@ class EquidistReport:
 
 
 def fractional_part_value(expr: GpExpr, n: int,
-                          policy: PrecisionPolicy = DEFAULT_POLICY,
+                          policy: Optional[PrecisionPolicy] = None,
                           scale: Fraction = Fraction(1)) -> Fraction:
     """{scale * expr(n)} as an exact or tightly enclosed rational."""
-    res = eval_gp(expr, n, policy)
-    if res.exact is not None:
-        v = exact_mul(res.exact, scale)
-        f = exact_floor(v)
-        frac = exact_add(v, Fraction(-f))
-        return Fraction(exact_enclosure(frac, 64).midpoint())
-    iv = res.enclosure * IntervalValue.exactly(scale, 64)
-    f = iv.floor_resolved()
-    if f is None:
-        raise PrecisionExhausted("fractional part unresolved", detail=expr)
-    return iv.midpoint() - f
+
+    def at(bits: int) -> Fraction:
+        v = value_mul(_eval_node(expr, n, bits, True), Fraction(scale), bits)
+        frac = value_add(v, Fraction(-value_floor(v)), bits)
+        return to_interval(frac, 64).midpoint()
+
+    return decide(at, policy)
 
 
 def star_discrepancy(samples: Sequence[float]) -> float:
@@ -548,7 +476,7 @@ def star_discrepancy(samples: Sequence[float]) -> float:
 
 def equidistribution_test(expr: GpExpr, a: int, lam: Fraction, n_samples: int,
                           bins: int,
-                          policy: PrecisionPolicy = DEFAULT_POLICY) -> EquidistReport:
+                          policy: Optional[PrecisionPolicy] = None) -> EquidistReport:
     """Histogram and star discrepancy of {lam * expr(a n)} for n < n_samples."""
     if bins < 2:
         raise ValueError("bins must be >= 2")

@@ -9,32 +9,29 @@ so a hit/miss verdict is never the artifact of rounding.
 from __future__ import annotations
 
 import math
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .digits import DigitWord
 from .exactreal import (
-    Exact,
     ExactReal,
     IntervalValue,
-    PrecisionExhausted,
+    Value,
+    decide,
+    default_policy,
     exact_add,
     exact_compare,
-    exact_enclosure,
-    exact_floor,
     exact_mul,
     exact_neg,
     exact_sign,
+    to_interval,
+    value_add,
+    value_floor,
+    value_mul,
+    value_sign,
 )
-
-Value = Union[Exact, IntervalValue]
-
-
-class _NeedsBits(Exception):
-    pass
 
 
 def _as_value(x, bits: int) -> Value:
@@ -46,48 +43,17 @@ def _as_value(x, bits: int) -> Value:
     return x
 
 
-def _to_iv(x: Value, bits: int) -> IntervalValue:
-    if isinstance(x, IntervalValue):
-        return x
-    return exact_enclosure(x, bits)
-
-
-def _vadd(x: Value, y: Value, bits: int) -> Value:
-    if not isinstance(x, IntervalValue) and not isinstance(y, IntervalValue):
-        s = exact_add(x, y)
-        if s is not None:
-            return s
-    return _to_iv(x, bits) + _to_iv(y, bits)
-
-
-def _vmul(x: Value, y: Value, bits: int) -> Value:
-    if not isinstance(x, IntervalValue) and not isinstance(y, IntervalValue):
-        p = exact_mul(x, y)
-        if p is not None:
-            return p
-    return _to_iv(x, bits) * _to_iv(y, bits)
-
-
-def _vfloor(x: Value) -> int:
-    if isinstance(x, IntervalValue):
-        f = x.floor_resolved()
-        if f is None:
-            raise _NeedsBits()
-        return f
-    return exact_floor(x)
-
-
 def _vfrac(x: Value, bits: int) -> Value:
-    return _vadd(x, Fraction(-_vfloor(x)), bits)
+    return value_add(x, Fraction(-value_floor(x)), bits)
 
 
 def _vnearest(x: Value, bits: int) -> int:
-    return _vfloor(_vadd(x, Fraction(1, 2), bits))
+    return value_floor(value_add(x, Fraction(1, 2), bits))
 
 
 def _vdist_to_int(x: Value, bits: int) -> Value:
     m = _vnearest(x, bits)
-    y = _vadd(x, Fraction(-m), bits)
+    y = value_add(x, Fraction(-m), bits)
     if isinstance(y, IntervalValue):
         lo, hi = y.lower, y.upper
         if lo >= 0:
@@ -96,25 +62,6 @@ def _vdist_to_int(x: Value, bits: int) -> Value:
             return -y
         return IntervalValue(Fraction(0), max(-lo, hi), y.precision_bits)
     return y if exact_sign(y) >= 0 else exact_neg(y)
-
-
-def _max_bits() -> int:
-    env = os.environ.get("NILSEQ_MAX_BITS")
-    return int(env) if env else 4096
-
-
-def _with_bits(fn, start_bits: int = 64, max_bits: Optional[int] = None):
-    bits = start_bits
-    if max_bits is None:
-        max_bits = _max_bits()
-    while True:
-        try:
-            return fn(bits)
-        except _NeedsBits:
-            if bits >= max_bits:
-                raise PrecisionExhausted(
-                    f"orbit computation unresolved at {max_bits} bits")
-            bits *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +120,8 @@ class TorusSkewSystem:
         for j in range(self.d):
             acc = vals[j]
             if j > 0:
-                acc = _vadd(acc, vals[j - 1], bits)
-            acc = _vadd(acc, coeffs[self.d - 1 - j], bits)
+                acc = value_add(acc, vals[j - 1], bits)
+            acc = value_add(acc, coeffs[self.d - 1 - j], bits)
             out.append(_vfrac(acc, bits))
         return tuple(out)
 
@@ -193,18 +140,19 @@ class TorusSkewSystem:
         for j in range(1, self.d + 1):
             acc = vals[j - 1]
             for k in range(1, j):
-                acc = _vadd(acc, _vmul(vals[k - 1],
-                                       Fraction(math.comb(n, j - k)), bits), bits)
+                acc = value_add(acc, value_mul(vals[k - 1],
+                                               Fraction(math.comb(n, j - k)), bits),
+                                bits)
             for i in range(1, j + 1):
-                acc = _vadd(acc, _vmul(coeffs[self.d - j + i - 1],
-                                       Fraction(math.comb(n, i)), bits), bits)
+                acc = value_add(acc, value_mul(coeffs[self.d - j + i - 1],
+                                               Fraction(math.comb(n, i)), bits),
+                                bits)
             out.append(_vfrac(acc, bits))
         return tuple(out)
 
 
 def skew_orbit_point(sys: TorusSkewSystem, z0: Optional[tuple], n: int,
-                     check_iterate_up_to: int = 0,
-                     start_bits: int = 64) -> tuple:
+                     check_iterate_up_to: int = 0) -> tuple:
     """Closed-form orbit point; optionally cross-checked against n-fold
     iteration (the two reduce to the same exact values)."""
     if n < 0:
@@ -220,30 +168,31 @@ def skew_orbit_point(sys: TorusSkewSystem, z0: Optional[tuple], n: int,
                     raise AssertionError("closed form disagrees with iteration")
         return pt
 
-    return _with_bits(run, start_bits)
+    return decide(run)
 
 
 def values_agree(a: Value, b: Value, tol: Fraction = Fraction(1, 1 << 40)) -> bool:
     if not isinstance(a, IntervalValue) and not isinstance(b, IntervalValue):
         return exact_compare(a, b) == 0
-    ia, ib = _to_iv(a, 64), _to_iv(b, 64)
+    ia, ib = to_interval(a, 64), to_interval(b, 64)
     return not (ia.upper + tol < ib.lower or ib.upper + tol < ia.lower)
 
 
 def residue_indicator(sys: TorusSkewSystem, z0: Optional[tuple], m: int,
-                      r: int, n: int, start_bits: int = 64) -> int:
+                      r: int, n: int) -> int:
     """1 iff the last orbit coordinate lies in [r/m, (r+1)/m); equals
     floor(p(n)) = r (mod m) for the representing system."""
     if not 0 <= r < m:
         raise ValueError("need 0 <= r < m")
-    point = skew_orbit_point(sys, z0, n, start_bits=start_bits)
-    last = point[-1]
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    z0 = sys.base_point() if z0 is None else z0
 
-    def decide(bits):
-        v = _vmul(last, Fraction(m), bits)
-        return 1 if _vfloor(v) == r else 0
+    def at(bits):
+        last = sys.closed_form(z0, n, bits)[-1]
+        return 1 if value_floor(value_mul(last, Fraction(m), bits)) == r else 0
 
-    return _with_bits(decide, start_bits)
+    return decide(at)
 
 
 # ---------------------------------------------------------------------------
@@ -254,46 +203,25 @@ def heis_mul(g1: tuple, g2: tuple, bits: int = 64) -> tuple:
     """[x1,y1,z1][x2,y2,z2] = [x1+x2, y1+y2, z1+z2+x1*y2]."""
     x1, y1, z1 = g1
     x2, y2, z2 = g2
-    return (_vadd(x1, x2, bits), _vadd(y1, y2, bits),
-            _vadd(_vadd(z1, z2, bits), _vmul(x1, y2, bits), bits))
-
-
-@dataclass(frozen=True)
-class HeisenbergState:
-    """Upper-unitriangular group element [x, y, z] with lattice reduction."""
-
-    x: object
-    y: object
-    z: object
-
-    def coords(self) -> tuple:
-        return (self.x, self.y, self.z)
-
-    def __mul__(self, other: "HeisenbergState") -> "HeisenbergState":
-        return HeisenbergState(*heis_mul(self.coords(), other.coords()))
-
-    def reduced(self) -> tuple["HeisenbergState", tuple[int, int, int]]:
-        """Fractional representative in [0,1)^3 and the integer part record."""
-        rep, gamma = heis_reduce(self.coords())
-        return HeisenbergState(*rep), gamma
+    return (value_add(x1, x2, bits), value_add(y1, y2, bits),
+            value_add(value_add(z1, z2, bits), value_mul(x1, y2, bits), bits))
 
 
 def heis_reduce(g: tuple, bits: int = 64) -> tuple[tuple, tuple[int, int, int]]:
     """Fractional representative {g} with all matrix coordinates in [0,1)
     and the integer lattice element gamma with {g} = g * gamma."""
     x, y, z = g
-    p = -_vfloor(x)
-    q = -_vfloor(y)
-    x2 = _vadd(x, Fraction(p), bits)
-    y2 = _vadd(y, Fraction(q), bits)
-    z_shift = _vadd(z, _vmul(x, Fraction(q), bits), bits)
-    r = -_vfloor(z_shift)
-    z2 = _vadd(z_shift, Fraction(r), bits)
+    p = -value_floor(x)
+    q = -value_floor(y)
+    x2 = value_add(x, Fraction(p), bits)
+    y2 = value_add(y, Fraction(q), bits)
+    z_shift = value_add(z, value_mul(x, Fraction(q), bits), bits)
+    r = -value_floor(z_shift)
+    z2 = value_add(z_shift, Fraction(r), bits)
     return (x2, y2, z2), (p, q, r)
 
 
-def heisenberg_fracpart(alpha, beta, n: int, start_bits: int = 64,
-                        cross_check: bool = True) -> tuple:
+def heisenberg_fracpart(alpha, beta, n: int, cross_check: bool = True) -> tuple:
     """Fractional part of g(n) = [-n alpha, n beta, 0].
 
     Computed both by the closed form [{-n alpha}, {n beta},
@@ -306,14 +234,14 @@ def heisenberg_fracpart(alpha, beta, n: int, start_bits: int = 64,
     def run(bits):
         a = _as_value(alpha, bits)
         b = _as_value(beta, bits)
-        na = _vmul(a, Fraction(n), bits)
-        nb = _vmul(b, Fraction(n), bits)
-        f1 = _vfrac(_vmul(na, Fraction(-1), bits), bits)
+        na = value_mul(a, Fraction(n), bits)
+        nb = value_mul(b, Fraction(n), bits)
+        f1 = _vfrac(value_mul(na, Fraction(-1), bits), bits)
         f2 = _vfrac(nb, bits)
-        f3 = _vfrac(_vmul(na, Fraction(_vfloor(nb)), bits), bits)
+        f3 = _vfrac(value_mul(na, Fraction(value_floor(nb)), bits), bits)
         closed = (f1, f2, f3)
         if cross_check:
-            g = (_vmul(na, Fraction(-1), bits), nb, Fraction(0))
+            g = (value_mul(na, Fraction(-1), bits), nb, Fraction(0))
             reduced, _ = heis_reduce(g, bits)
             for u, v in zip(closed, reduced):
                 if not values_agree(u, v):
@@ -321,7 +249,7 @@ def heisenberg_fracpart(alpha, beta, n: int, start_bits: int = 64,
                         "closed-form and lattice-reduced fractional parts differ")
         return closed
 
-    return _with_bits(run, start_bits)
+    return decide(run)
 
 
 # ---------------------------------------------------------------------------
@@ -363,25 +291,16 @@ class EpsilonSchedule:
 
 def dist_lt_eps(dist: Value, n: int, eps: EpsilonSchedule, bits: int = 96) -> bool:
     """Exact strict comparison ||..|| < c * n^(-p/q): both sides nonnegative,
-    so it squares to dist^q * n^p < c^q."""
+    so it squares to dist^q * n^p < c^q.  An enclosure that cannot decide
+    raises ``NeedsMoreBits``."""
     if eps.c == 0:
         return False
     p, q = eps.gamma.numerator, eps.gamma.denominator
-    if not isinstance(dist, IntervalValue):
-        lhs = dist
-        for _ in range(q - 1):
-            lhs = exact_mul(lhs, dist)
-        lhs = exact_mul(lhs, Fraction(n**p))
-        return exact_compare(lhs, eps.c**q) < 0
-    iv = dist
-    lhs = iv
+    lhs = dist
     for _ in range(q - 1):
-        lhs = lhs * iv
-    lhs = lhs * IntervalValue.exactly(Fraction(n**p), bits)
-    verdict = lhs.decide_lt(eps.c**q)
-    if verdict is None:
-        raise PrecisionExhausted("epsilon comparison unresolved")
-    return verdict
+        lhs = value_mul(lhs, dist, bits)
+    lhs = value_mul(lhs, Fraction(n**p), bits)
+    return value_sign(value_add(lhs, -eps.c**q, bits)) < 0
 
 
 @dataclass
@@ -393,8 +312,7 @@ class HitCertificate:
 
 
 def suffix_hit_scan(alpha, beta, eps: EpsilonSchedule, base: int,
-                    suffix: DigitWord, n_max: int,
-                    start_bits: int = 64) -> Optional[HitCertificate]:
+                    suffix: DigitWord, n_max: int) -> Optional[HitCertificate]:
     """First n <= n_max whose base-k expansion ends with the suffix and with
     ||n alpha floor(n beta)|| < eps(n); None when the scan is exhausted
     (a certificate only exists for hits)."""
@@ -404,17 +322,19 @@ def suffix_hit_scan(alpha, beta, eps: EpsilonSchedule, base: int,
         first = step  # n = 0 has the empty expansion
     n = first if first > 0 else 1
 
-    def dist_at(nn: int, bits: int):
+    def hit_at(bits: int):
         a = _as_value(alpha, bits)
         b = _as_value(beta, bits)
-        nb = _vmul(b, Fraction(nn), bits)
-        x = _vmul(_vmul(a, Fraction(nn), bits), Fraction(_vfloor(nb)), bits)
-        return _vdist_to_int(x, bits)
+        nb = value_mul(b, Fraction(n), bits)
+        x = value_mul(value_mul(a, Fraction(n), bits), Fraction(value_floor(nb)), bits)
+        dist = _vdist_to_int(x, bits)
+        return dist, dist_lt_eps(dist, n, eps, bits)
 
+    policy = default_policy()
     while n <= n_max:
-        dist = _with_bits(lambda bits: dist_at(n, bits), start_bits)
-        if dist_lt_eps(dist, n, eps):
-            return HitCertificate(n, _to_iv(dist, 96),
+        dist, hit = decide(hit_at, policy)
+        if hit:
+            return HitCertificate(n, to_interval(dist, 96),
                                   eps.describe(), eps.value_float(n))
         n += step if len(suffix) > 0 else 1
     return None
@@ -438,7 +358,9 @@ def horizontal_character_probe(alpha, beta, t: int, l_bound: int,
                                base: int = 2) -> ProbeReport:
     """Brute-force min of ||k^t (l1 alpha + l2 beta)|| over 0 < max(|l1|,|l2|)
     <= l_bound; an exact zero (rational dependence) is reported as
-    degenerate instead of a minimum."""
+    degenerate instead of a minimum.  (l1, l2) and (-l1, -l2) have the same
+    distance, so only the first of each pair, l1 < 0 or l1 = 0 > l2, is
+    visited."""
     if l_bound < 1:
         raise ValueError("l_bound must be >= 1")
     scale = Fraction(base**t)
@@ -448,39 +370,41 @@ def horizontal_character_probe(alpha, beta, t: int, l_bound: int,
     def dist_for(l1: int, l2: int, bits: int):
         a = _as_value(alpha, bits)
         b = _as_value(beta, bits)
-        comb = _vadd(_vmul(a, Fraction(l1), bits), _vmul(b, Fraction(l2), bits), bits)
-        comb = _vmul(comb, scale, bits)
+        comb = value_add(value_mul(a, Fraction(l1), bits),
+                         value_mul(b, Fraction(l2), bits), bits)
+        comb = value_mul(comb, scale, bits)
         return _vdist_to_int(comb, bits)
 
-    for l1 in range(-l_bound, l_bound + 1):
-        for l2 in range(-l_bound, l_bound + 1):
-            if l1 == 0 and l2 == 0:
-                continue
-            val = _with_bits(lambda bits: dist_for(l1, l2, bits))
+    def best_at(bits: int) -> Value:
+        """The best distance so far, recomputed at these bits when it is
+        enclosure-backed."""
+        if isinstance(best_val, IntervalValue):
+            return dist_for(*best_pair, bits)
+        return best_val
+
+    def closer(bits: int):
+        """The current pair's distance, and whether it beats the best so far."""
+        val = dist_for(l1, l2, bits)
+        if best_pair is None or (not isinstance(val, IntervalValue)
+                                 and exact_sign(val) == 0):
+            return val, True
+        minus_best = value_mul(best_at(bits), Fraction(-1), bits)
+        return val, value_sign(value_add(val, minus_best, bits)) < 0
+
+    policy = default_policy()
+    for l1 in range(-l_bound, 1):
+        for l2 in range(-l_bound, l_bound + 1 if l1 < 0 else 0):
+            val, better = decide(closer, policy)
             if not isinstance(val, IntervalValue) and exact_sign(val) == 0:
                 return ProbeReport((l1, l2), None, True, l_bound, None)
-            if best_val is None or _value_lt(val, best_val):
+            if better:
                 best_val = val
                 best_pair = (l1, l2)
-    enclosure = _to_iv(best_val, 96)
     above = None
     if threshold is not None:
-        above = enclosure.lower > threshold
-    return ProbeReport(best_pair, enclosure, False, l_bound, above)
-
-
-def _value_lt(a: Value, b: Value) -> bool:
-    if not isinstance(a, IntervalValue) and not isinstance(b, IntervalValue):
-        return exact_compare(a, b) < 0
-    bits = 96
-    while bits <= 4096:
-        ia, ib = _to_iv(a, bits), _to_iv(b, bits)
-        if ia.upper < ib.lower:
-            return True
-        if ia.lower >= ib.upper:
-            return False
-        bits *= 2
-    raise PrecisionExhausted("tie between probe values")
+        above = decide(lambda bits: value_sign(
+            value_add(best_at(bits), -Fraction(threshold), bits)) > 0, policy)
+    return ProbeReport(best_pair, to_interval(best_val, 96), False, l_bound, above)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,10 @@ from .exactreal import (
     Exact,
     ExactReal,
     IntervalValue,
+    NeedsMoreBits,
+    PrecisionPolicy,
+    decide,
+    default_policy,
     exact_add,
     exact_compare,
     exact_enclosure,
@@ -40,7 +44,6 @@ from .genpoly import (
     VAR,
     Const,
     Indicator,
-    PrecisionPolicy,
     gp_dist_to_int,
     gp_mul,
     indicator_window,
@@ -118,7 +121,7 @@ def quadratic_margin(a: int, n: int) -> Exact:
 
 
 def fibonacci_like_set(a: int,
-                       policy: PrecisionPolicy = PrecisionPolicy()) -> Indicator:
+                       policy: Optional[PrecisionPolicy] = None) -> Indicator:
     """The predicate ||n*alpha|| < 1/(2n) in the generalised-polynomial basis.
 
     Formal route: with h(n) = 2n * ||n*alpha|| (h >= 0), membership is
@@ -217,16 +220,20 @@ class PisotCubicParams:
 
     # dyadic enclosure state for integer-triple sign tests
     def __post_init__(self):
-        self._pows: dict[int, tuple[int, int, int]] = {}
+        self._pows: dict[int, tuple[int, int, int, int, int]] = {}
+        self._sign_policy = default_policy(96)
 
-    def _beta_bounds(self, bits: int) -> tuple[int, int, int]:
+    def _beta_bounds(self, bits: int) -> tuple[int, int, int, int, int]:
+        """1, beta and beta^2 scaled by 4^bits: the integer 4^bits and
+        integer lower and upper bounds of the other two."""
         cached = self._pows.get(bits)
         if cached is None:
             lo, hi = self.field.refine(bits)
             scale = 1 << bits
             lo_i = math.floor(lo * scale)
             hi_i = math.ceil(hi * scale)
-            cached = (lo_i, hi_i, bits)
+            cached = (scale * scale, lo_i * scale, hi_i * scale,
+                      lo_i * lo_i, hi_i * hi_i)
             self._pows[bits] = cached
         return cached
 
@@ -234,14 +241,11 @@ class PisotCubicParams:
         """Exact sign of z0 + z1 beta + z2 beta^2."""
         if z == (0, 0, 0):
             return 0
-        bits = 96
-        while True:
-            lo_i, hi_i, _ = self._beta_bounds(bits)
-            scale = 1 << bits
-            lo = z[0] * scale * scale
-            hi = lo
-            for coef, plo, phi in ((z[1], lo_i * scale, hi_i * scale),
-                                   (z[2], lo_i * lo_i, hi_i * hi_i)):
+
+        def at(bits: int) -> int:
+            one, b_lo, b_hi, b2_lo, b2_hi = self._beta_bounds(bits)
+            lo = hi = z[0] * one
+            for coef, plo, phi in ((z[1], b_lo, b_hi), (z[2], b2_lo, b2_hi)):
                 if coef >= 0:
                     lo += coef * plo
                     hi += coef * phi
@@ -252,11 +256,10 @@ class PisotCubicParams:
                 return 1
             if hi < 0:
                 return -1
-            if lo == 0 and hi == 0:
-                return 0
-            bits *= 2
-            if bits > 1 << 16:
-                raise AssertionError("sign refinement runaway; element nonzero?")
+            raise NeedsMoreBits("Z[beta] sign unresolved", detail=z)
+
+        # beta is irrational of degree 3, so a nonzero z settles
+        return decide(at, self._sign_policy)
 
     def zb_norm_sq(self, x1: tuple[int, int, int],
                    x2: tuple[int, int, int]) -> tuple[int, int, int]:

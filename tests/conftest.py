@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import pytest
 
 from nilseq.automaton import (
@@ -45,3 +48,27 @@ def digit_sum(n: int, base: int = 2) -> int:
         s += n % base
         n //= base
     return s
+
+
+class WallClockExceeded(BaseException):
+    """Not an Exception, so no handler in the code under test swallows it."""
+
+
+@pytest.fixture
+def wall_clock_limit():
+    """Context manager: the body is interrupted once `seconds` have passed."""
+
+    @contextlib.contextmanager
+    def limit(seconds: float):
+        def expire(signum, frame):
+            raise WallClockExceeded(f"still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return limit

@@ -146,3 +146,19 @@ def test_demo_dichotomy():
     variants = {r["fixture"]: r["variant"] for r in rows}
     assert variants["powers_of_2"] == "very_sparse"
     assert variants["baum_sweet"] == "condition_i"
+
+
+@pytest.mark.parametrize("expr", [
+    # x^3 - 2x is reducible (root 0); its root sqrt 2 squared is exactly 2
+    "(floor (* (root 1 0 -2 0 1 2) (root 1 0 -2 0 1 2)))",
+    # the product of two 16-digit primes: squarefreeness is not decidable
+    # by bounded trial division
+    "(floor (* (sqrt 1000000000000128000000000003367) n))",
+])
+def test_hostile_gp_input_fails_fast(tmp_path, wall_clock_limit, expr):
+    path = tmp_path / "hostile.gp"
+    path.write_text(expr)
+    with wall_clock_limit(1.0):
+        code, rep = invoke(["gp", "eval", "--expr-file", str(path), "--n", "3"])
+    assert code == 1
+    assert "error" in rep["results"]

@@ -8,6 +8,10 @@ from nilseq.exactreal import (
     CubicField,
     ExactReal,
     IntervalValue,
+    NeedsMoreBits,
+    PrecisionExhausted,
+    PrecisionPolicy,
+    decide,
     exact_add,
     exact_compare,
     exact_enclosure,
@@ -46,6 +50,12 @@ def test_surd_sum_arithmetic():
     # (sqrt2 + sqrt3)(sqrt3 - sqrt2) = 1
     other = exact_add(SQRT3, exact_neg(SQRT2))
     assert exact_mul(mix, other) == Fraction(1)
+    # sqrt6 sqrt10 folds through gcd 2 into 2 sqrt15
+    six_ten = exact_mul(exact_add(SQRT2, make_quad(0, 1, 6)),
+                        exact_add(SQRT3, make_quad(0, 1, 10)))
+    want = exact_add(exact_add(make_quad(0, 1, 6), make_quad(0, 2, 5)),
+                     exact_add(make_quad(0, 3, 2), make_quad(0, 2, 15)))
+    assert exact_compare(six_ten, want) == 0
 
 
 def test_sign_and_compare():
@@ -72,9 +82,38 @@ def test_cubic_field_basics():
     assert exact_floor(exact_mul(b3, b2)) == 6  # beta^5 ~ 6.75
 
 
-def test_cubic_rejects_reducible():
+def test_cubic_rejects_reducible(wall_clock_limit):
     with pytest.raises(ValueError):
         CubicField((1, 0, 0, -8), 1, 3).refine(80)  # x^3 - 8 hits 2
+    # x^3 - 2x: the designated root sqrt 2 is irrational, the root 0 is not
+    with pytest.raises(ValueError):
+        CubicField((1, 0, -2, 0), 1, 2)
+    # (x - r)(x^2 - 2) with a 16-digit r: found without factoring 2r
+    r = 10**15 + 37
+    with wall_clock_limit(1.0), pytest.raises(ValueError):
+        CubicField((1, -r, -2, 2 * r), 1, 2)
+
+
+def test_squarefree_radicands(wall_clock_limit):
+    assert ExactReal.sqrt(2 * 3 * 65537 * 65537).exact() == make_quad(0, 65537, 6)
+    assert ExactReal.sqrt(65537 * 65539).exact() == make_quad(0, 1, 65537 * 65539)
+    with wall_clock_limit(1.0), pytest.raises(ValueError):
+        ExactReal.sqrt(1000000000000037 * 1000000000000091)
+
+
+def test_decide_stops_at_the_ceiling():
+    rungs = []
+
+    def never_settles(bits):
+        rungs.append(bits)
+        raise NeedsMoreBits("never settles")
+
+    with pytest.raises(PrecisionExhausted):
+        decide(never_settles, PrecisionPolicy(start_bits=32, max_bits=256))
+    assert rungs == [32, 64, 128, 256]
+    assert list(PrecisionPolicy(start_bits=64, max_bits=96).ladder()) == [64, 96]
+    with pytest.raises(ValueError):
+        PrecisionPolicy(start_bits=0, max_bits=64)  # would never climb
 
 
 def test_interval_ops():
@@ -106,6 +145,15 @@ def test_named_constants():
     # refinement is monotone even when asked for fewer bits afterwards
     again = pi.enclosure(64)
     assert again.nests_inside(iv64)
+
+
+def test_named_constants_contain_the_constant():
+    # an enclosure narrowed to a double would give ...311599 and ...509079
+    from nilseq.genpoly import eval_gp_int, parse_gp
+
+    n = 10**20
+    assert eval_gp_int(parse_gp("(floor (* pi n))"), n) == 314159265358979323846
+    assert eval_gp_int(parse_gp("(floor (* e n))"), n) == 271828182845904523536
 
 
 def test_algebraic_root_recognition():

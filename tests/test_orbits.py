@@ -6,8 +6,10 @@ import pytest
 from nilseq.digits import DigitWord
 from nilseq.exactreal import (
     ExactReal,
+    exact_add,
     exact_compare,
     exact_enclosure,
+    exact_mul,
     make_quad,
 )
 from nilseq.genpoly import floor_poly_mod
@@ -210,6 +212,46 @@ def test_probe_scaling_consistency():
         dist = exact_neg(dist)
     iv = exact_enclosure(dist, 128)
     assert rep3.value.lower <= iv.upper and iv.lower <= rep3.value.upper
+
+
+def test_probe_threshold_is_decided():
+    # thresholds inside the reported enclosure: the answer comes from the
+    # exact value, not from the enclosure's lower end
+    rep = horizontal_character_probe(SQRT2, SQRT3, 0, 2)
+    l1, l2 = rep.best
+    comb = exact_add(exact_mul(SQRT2, Fraction(l1)), exact_mul(SQRT3, Fraction(l2)))
+    dist = exact_add(comb, Fraction(-round(exact_enclosure(comb, 64).to_float())))
+    if exact_compare(dist, Fraction(0)) < 0:
+        dist = exact_mul(dist, Fraction(-1))
+    for thr in (rep.value.lower + rep.value.width / 4,
+                rep.value.upper - rep.value.width / 4):
+        above = horizontal_character_probe(SQRT2, SQRT3, 0, 2, threshold=thr)
+        assert above.above_threshold == (exact_compare(dist, thr) > 0)
+
+
+def test_probe_enclosure_constant():
+    # alpha = the real root of x^5 - x - 1 is enclosure-backed; the best pair
+    # matches a 60-digit brute force over the same half of the pairs
+    import mpmath
+
+    alpha = ExactReal.algebraic_root([1, 0, 0, 0, -1, -1], 1, 2)
+    with mpmath.workdps(60):
+        a = mpmath.findroot(lambda x: x**5 - x - 1, 1.17)
+        b = mpmath.sqrt(2)
+        for t in (1, 2, 3):
+            rep = horizontal_character_probe(alpha, SQRT2, t, 5)
+            assert not rep.degenerate
+
+            def dist(pair):
+                x = 2**t * (pair[0] * a + pair[1] * b)
+                return abs(x - mpmath.nint(x))
+
+            pairs = [(l1, l2) for l1 in range(-5, 1) for l2 in range(-5, 6)
+                     if l1 < 0 or l2 < 0]
+            assert rep.best == min(pairs, key=dist)
+            lo, hi = (mpmath.mpf(f.numerator) / f.denominator
+                      for f in (rep.value.lower, rep.value.upper))
+            assert lo <= dist(rep.best) <= hi
 
 
 # --- densities -----------------------------------------------------------------
