@@ -474,7 +474,8 @@ class CubicField(_BisectRoot):
     The isolating interval certifies which root; bisection refines it with
     nested enclosures.  A cubic with a rational (hence integer) root is
     rejected, so nonconstant elements are irrational and signs and floors
-    always resolve.
+    always resolve.  Two fields are equal when they share the cubic and the
+    root.
     """
 
     def __init__(self, coeffs: tuple[int, int, int, int], lo, hi):
@@ -483,72 +484,181 @@ class CubicField(_BisectRoot):
         if _has_integer_root(*(int(c) for c in coeffs[1:])):
             raise ValueError("cubic has a rational root: polynomial is reducible")
         super().__init__(coeffs, lo, hi)
+        self._bounds: dict[int, tuple[int, int, int, int, int]] = {}
+        # read once per field: hot loops decide millions of signs on it
+        self.policy = default_policy()
+
+    def bounds(self, bits: int) -> tuple[int, int, int, int, int]:
+        """Integers (one, b_lo, b_hi, s_lo, s_hi) with b_lo/one <= beta <=
+        b_hi/one and s_lo/one <= beta^2 <= s_hi/one, read exactly off the
+        enclosure of width at most 2^-bits (one is the square of its common
+        denominator); cached per bits."""
+        cached = self._bounds.get(bits)
+        if cached is None:
+            lo, hi = self.refine(bits)
+            d = math.lcm(lo.denominator, hi.denominator)
+            lo_n = lo.numerator * (d // lo.denominator)
+            hi_n = hi.numerator * (d // hi.denominator)
+            # beta^2 is smallest at 0 when the enclosure straddles it
+            sq_lo = 0 if lo_n < 0 < hi_n else min(lo_n * lo_n, hi_n * hi_n)
+            cached = (d * d, lo_n * d, hi_n * d, sq_lo,
+                      max(lo_n * lo_n, hi_n * hi_n))
+            self._bounds[bits] = cached
+        return cached
 
     def element(self, c0, c1=0, c2=0) -> "CubicElem":
-        return CubicElem(self, (Fraction(c0), Fraction(c1), Fraction(c2)))
+        c = [Fraction(v) for v in (c0, c1, c2)]
+        den = math.lcm(*(v.denominator for v in c))
+        return CubicElem(self, *(v.numerator * (den // v.denominator) for v in c),
+                         den)
 
     @property
     def beta(self) -> "CubicElem":
-        return self.element(0, 1, 0)
+        return CubicElem(self, 0, 1, 0)
 
     def __eq__(self, other):
-        return isinstance(other, CubicField) and self.coeffs == other.coeffs
+        if other is self:
+            return True
+        if not isinstance(other, CubicField) or self.coeffs != other.coeffs:
+            return False
+        # distinct roots of a squarefree integer cubic lie more than
+        # 1/(9 sum c_i^2) apart (Mahler), so enclosures narrower than half
+        # that bound meet exactly when they hold the same root
+        bits = (18 * sum(c * c for c in self.coeffs)).bit_length()
+        lo, hi = self.refine(bits)
+        other_lo, other_hi = other.refine(bits)
+        return lo <= other_hi and other_lo <= hi
 
     def __hash__(self):
         return hash(self.coeffs)
 
 
-@dataclass(frozen=True)
 class CubicElem:
-    field: CubicField
-    c: tuple[Fraction, Fraction, Fraction]
+    """(n0 + n1 beta + n2 beta^2) / den in Q(beta): integer numerators over a
+    positive denominator, with gcd(n0, n1, n2, den) = 1."""
+
+    __slots__ = ("field", "n0", "n1", "n2", "den")
+
+    def __init__(self, field: CubicField, n0: int, n1: int = 0, n2: int = 0,
+                 den: int = 1):
+        if den != 1:
+            if den < 0:
+                n0, n1, n2, den = -n0, -n1, -n2, -den
+            g = math.gcd(n0, n1, n2, den)
+            if g > 1:
+                n0, n1, n2, den = n0 // g, n1 // g, n2 // g, den // g
+        self.field, self.n0, self.n1, self.n2, self.den = field, n0, n1, n2, den
+
+    @property
+    def c(self) -> tuple[Fraction, Fraction, Fraction]:
+        """The coordinates on 1, beta, beta^2."""
+        return (Fraction(self.n0, self.den), Fraction(self.n1, self.den),
+                Fraction(self.n2, self.den))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.c)
+        return not (self.n0 or self.n1 or self.n2)
 
-    def is_rational(self) -> Optional[Fraction]:
-        return self.c[0] if self.c[1] == 0 and self.c[2] == 0 else None
+    def __eq__(self, other):
+        return (isinstance(other, CubicElem)
+                and (self.n0, self.n1, self.n2, self.den)
+                == (other.n0, other.n1, other.n2, other.den)
+                and self.field == other.field)
+
+    def __hash__(self):
+        return hash((self.n0, self.n1, self.n2, self.den, self.field))
+
+    def __repr__(self):
+        return f"CubicElem({self.n0}, {self.n1}, {self.n2}, den={self.den})"
 
 
 def _cubic_add(x: CubicElem, y: CubicElem) -> CubicElem:
-    return CubicElem(x.field, tuple(a + b for a, b in zip(x.c, y.c)))
+    if x.den == y.den:
+        return CubicElem(x.field, x.n0 + y.n0, x.n1 + y.n1, x.n2 + y.n2, x.den)
+    return CubicElem(x.field, x.n0 * y.den + y.n0 * x.den,
+                     x.n1 * y.den + y.n1 * x.den,
+                     x.n2 * y.den + y.n2 * x.den, x.den * y.den)
 
 
 def _cubic_mul(x: CubicElem, y: CubicElem) -> CubicElem:
     _, c2, c1, c0 = x.field.coeffs
-    # beta^3 = -c2 beta^2 - c1 beta - c0
-    prod = [Fraction(0)] * 5
-    for i, a in enumerate(x.c):
-        if a == 0:
-            continue
-        for j, b in enumerate(y.c):
-            prod[i + j] += a * b
-    for deg in (4, 3):
-        coef = prod[deg]
-        if coef:
-            prod[deg] = Fraction(0)
-            prod[deg - 1] -= c2 * coef
-            prod[deg - 2] -= c1 * coef
-            prod[deg - 3] -= c0 * coef
-    return CubicElem(x.field, (prod[0], prod[1], prod[2]))
+    a0, a1, a2 = x.n0, x.n1, x.n2
+    b0, b1, b2 = y.n0, y.n1, y.n2
+    # beta^4 = -c2 beta^3 - c1 beta^2 - c0 beta, beta^3 = -c2 beta^2 - c1 beta - c0
+    p4 = a2 * b2
+    p3 = a1 * b2 + a2 * b1 - c2 * p4
+    return CubicElem(x.field, a0 * b0 - c0 * p3,
+                     a0 * b1 + a1 * b0 - c0 * p4 - c1 * p3,
+                     a0 * b2 + a1 * b1 + a2 * b0 - c1 * p4 - c2 * p3,
+                     x.den * y.den)
+
+
+def cubic_inverse(x: CubicElem) -> CubicElem:
+    """1/x from the cofactors of the multiplication matrix M of x's numerator
+    (column j holds numerator * beta^j): 1/x = den * adj(M) e_0 / det M."""
+    beta = x.field.beta
+    col1 = _cubic_mul(CubicElem(x.field, x.n0, x.n1, x.n2), beta)
+    col2 = _cubic_mul(col1, beta)
+    # the cofactors of row 0; det M = N(numerator) expands along that row
+    y0 = col1.n1 * col2.n2 - col1.n2 * col2.n1
+    y1 = x.n2 * col2.n1 - x.n1 * col2.n2
+    y2 = x.n1 * col1.n2 - x.n2 * col1.n1
+    det = x.n0 * y0 + col1.n0 * y1 + col2.n0 * y2
+    if det == 0:
+        raise ZeroDivisionError("inverse of zero in a cubic field")
+    return CubicElem(x.field, y0 * x.den, y1 * x.den, y2 * x.den, det)
 
 
 def _cubic_scale(x: CubicElem, r: Fraction) -> CubicElem:
-    return CubicElem(x.field, tuple(a * r for a in x.c))
+    return CubicElem(x.field, x.n0 * r.numerator, x.n1 * r.numerator,
+                     x.n2 * r.numerator, x.den * r.denominator)
+
+
+def _cubic_bounds(x: CubicElem, bits: int) -> tuple[int, int, int]:
+    """Integers lo, hi, scale with lo/scale <= x <= hi/scale, from the
+    field's integer bounds of beta and beta^2 at bits: every cubic sign,
+    floor and enclosure reads these."""
+    one, b_lo, b_hi, s_lo, s_hi = x.field.bounds(bits)
+    n1, n2 = x.n1, x.n2
+    lo = hi = x.n0 * one
+    if n1 >= 0:
+        lo, hi = lo + n1 * b_lo, hi + n1 * b_hi
+    else:
+        lo, hi = lo + n1 * b_hi, hi + n1 * b_lo
+    if n2 >= 0:
+        lo, hi = lo + n2 * s_lo, hi + n2 * s_hi
+    else:
+        lo, hi = lo + n2 * s_hi, hi + n2 * s_lo
+    return lo, hi, one * x.den
 
 
 def _cubic_enclosure(x: CubicElem, bits: int) -> IntervalValue:
-    root = x.field.enclosure(bits)
-    acc = IntervalValue.exactly(x.c[0], bits)
-    if x.c[1]:
-        acc = acc + IntervalValue.exactly(x.c[1], bits) * root
-    if x.c[2]:
-        acc = acc + IntervalValue.exactly(x.c[2], bits) * (root * root)
-    return acc
+    lo, hi, scale = _cubic_bounds(x, bits)
+    return IntervalValue(Fraction(lo, scale), Fraction(hi, scale), bits)
 
 
-def _refine(x: Exact, read: Callable[[Value], int]) -> int:
-    """read(enclosure of x) on the exact layer's ladder, which starts at 32
+def _cubic_decide(x: CubicElem, read: Callable[[int, int, int], int]) -> int:
+    """read(lo, hi, scale) of x's bounds on the ladder; x is irrational, so
+    the floor or sign settles."""
+    return decide(lambda bits: read(*_cubic_bounds(x, bits)), x.field.policy)
+
+
+def _floor_of_bounds(lo: int, hi: int, scale: int) -> int:
+    f = lo // scale
+    if f != hi // scale:
+        raise NeedsMoreBits("cubic floor unresolved", detail=(lo, hi, scale))
+    return f
+
+
+def _sign_of_bounds(lo: int, hi: int, scale: int) -> int:
+    if lo > 0:
+        return 1
+    if hi < 0:
+        return -1
+    raise NeedsMoreBits("cubic sign unresolved", detail=(lo, hi, scale))
+
+
+def _refine(x: SurdSum, read: Callable[[Value], int]) -> int:
+    """read(enclosure of x) on the surd layer's ladder, which starts at 32
     bits; x is irrational, so the floor or sign settles."""
     return decide(lambda bits: read(exact_enclosure(x, bits)), default_policy(32))
 
@@ -561,10 +671,10 @@ def exact_add(x: Exact, y: Exact) -> Optional[Exact]:
     if isinstance(x, Fraction) and isinstance(y, Fraction):
         return x + y
     if isinstance(x, CubicElem) or isinstance(y, CubicElem):
-        if isinstance(x, Fraction) and isinstance(y, CubicElem):
-            x = y.field.element(x)
-        if isinstance(y, Fraction) and isinstance(x, CubicElem):
-            y = x.field.element(y)
+        if isinstance(x, Fraction):
+            x = CubicElem(y.field, x.numerator, 0, 0, x.denominator)
+        elif isinstance(y, Fraction):
+            y = CubicElem(x.field, y.numerator, 0, 0, y.denominator)
         if (isinstance(x, CubicElem) and isinstance(y, CubicElem)
                 and x.field == y.field):
             return _cubic_add(x, y)
@@ -583,7 +693,7 @@ def exact_neg(x: Exact) -> Exact:
     if isinstance(x, SurdSum):
         return SurdSum(-x.rat, tuple((-c, d) for c, d in x.terms))
     if isinstance(x, CubicElem):
-        return _cubic_scale(x, Fraction(-1))
+        return CubicElem(x.field, -x.n0, -x.n1, -x.n2, x.den)
     raise TypeError(type(x))
 
 
@@ -591,9 +701,9 @@ def exact_mul(x: Exact, y: Exact) -> Optional[Exact]:
     if isinstance(x, Fraction) and isinstance(y, Fraction):
         return x * y
     if isinstance(x, CubicElem) or isinstance(y, CubicElem):
-        if isinstance(x, Fraction) and isinstance(y, CubicElem):
+        if isinstance(x, Fraction):
             return _cubic_scale(y, x)
-        if isinstance(y, Fraction) and isinstance(x, CubicElem):
+        if isinstance(y, Fraction):
             return _cubic_scale(x, y)
         if (isinstance(x, CubicElem) and isinstance(y, CubicElem)
                 and x.field == y.field):
@@ -613,8 +723,9 @@ def exact_floor(x: Exact) -> int:
     if isinstance(x, SurdSum):
         return _refine(x, value_floor)
     if isinstance(x, CubicElem):
-        r = x.is_rational()
-        return r.__floor__() if r is not None else _refine(x, value_floor)
+        if not (x.n1 or x.n2):
+            return x.n0 // x.den
+        return _cubic_decide(x, _floor_of_bounds)
     raise TypeError(type(x))
 
 
@@ -626,8 +737,9 @@ def exact_sign(x: Exact) -> int:
     if isinstance(x, SurdSum):
         return _refine(x, value_sign)
     if isinstance(x, CubicElem):
-        r = x.is_rational()
-        return (r > 0) - (r < 0) if r is not None else _refine(x, value_sign)
+        if not (x.n1 or x.n2):
+            return (x.n0 > 0) - (x.n0 < 0)
+        return _cubic_decide(x, _sign_of_bounds)
     raise TypeError(type(x))
 
 
@@ -654,10 +766,8 @@ def exact_enclosure(x: Exact, bits: int) -> IntervalValue:
 def exact_is_integer(x: Exact) -> Optional[int]:
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else None
-    if isinstance(x, CubicElem):
-        r = x.is_rational()
-        if r is not None and r.denominator == 1:
-            return r.numerator
+    if isinstance(x, CubicElem) and not (x.n1 or x.n2) and x.den == 1:
+        return x.n0
     return None  # surviving surd/cubic parts are irrational
 
 

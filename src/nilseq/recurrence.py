@@ -9,9 +9,10 @@ computes the skew norm attached to the complex pair, brute-forces best
 approximations of theta = (1/beta, 1/beta^2), and builds the closed-form
 predicate h(q)^2 < 1/g(q) that tracks them.
 
-Everything on the cubic side lives in Z[beta] (note 1/beta = beta^2 - a
-beta - b), so all comparisons are exact integer-triple sign tests against a
-refinable dyadic enclosure of beta.
+The cubic side computes in Q(beta) with exactreal's ``CubicElem`` (integer
+numerators over one denominator; 1/beta = beta^2 - a beta - b lies in
+Z[beta]), so every comparison is an exact sign test of integer bounds built
+from the field's bounds of beta and beta^2.
 """
 
 from __future__ import annotations
@@ -27,10 +28,8 @@ from .exactreal import (
     Exact,
     ExactReal,
     IntervalValue,
-    NeedsMoreBits,
     PrecisionPolicy,
-    decide,
-    default_policy,
+    cubic_inverse,
     exact_add,
     exact_compare,
     exact_enclosure,
@@ -168,38 +167,13 @@ class InvalidPisot(ValueError):
         self.reason = reason
 
 
-def _zb_mul(x: tuple[int, int, int], y: tuple[int, int, int],
-            a: int, b: int) -> tuple[int, int, int]:
-    """Product in Z[beta], beta^3 = a beta^2 + b beta + 1."""
-    x0, x1, x2 = x
-    y0, y1, y2 = y
-    c0 = x0 * y0
-    c1 = x0 * y1 + x1 * y0
-    c2 = x0 * y2 + x1 * y1 + x2 * y0
-    c3 = x1 * y2 + x2 * y1
-    c4 = x2 * y2
-    # beta^4 = a beta^3 + b beta^2 + beta
-    c2 += c4 * b + c3 * a + c4 * a * a
-    c1 += c3 * b + c4 * a * b + c4
-    c0 += c3 + c4 * a
-    return (c0, c1, c2)
-
-
-def _zb_add(x, y):
-    return (x[0] + y[0], x[1] + y[1], x[2] + y[2])
-
-
-def _zb_sub(x, y):
-    return (x[0] - y[0], x[1] - y[1], x[2] - y[2])
-
-
-def _zb_scale(x, c: int):
-    return (x[0] * c, x[1] * c, x[2] * c)
-
-
 @dataclass
 class PisotCubicParams:
-    """Certified data for x^3 - a x^2 - b x - 1 with unique real root beta > 1."""
+    """Certified data for x^3 - a x^2 - b x - 1 with unique real root beta > 1.
+
+    The norm form is N(x)^2 = A x1^2 + B x1 x2 + C x2^2 with A, B, C in
+    Z[beta] (``norm_a``, ``norm_b``, ``norm_c``).
+    """
 
     a: int
     b: int
@@ -209,68 +183,38 @@ class PisotCubicParams:
     beta_inv2: CubicElem
     alpha_re: CubicElem
     alpha_im_sq: CubicElem
-    m1_sq: CubicElem
-    m1_point: tuple[int, int]
-    # integer-triple mirrors (Z[beta]) of the norm form N(x)^2 = A x1^2 + B x1 x2 + C x2^2
-    norm_a: tuple[int, int, int]
-    norm_b: tuple[int, int, int]
-    norm_c: tuple[int, int, int]
-    zb_inv: tuple[int, int, int]
-    zb_inv2: tuple[int, int, int]
+    norm_a: CubicElem
+    norm_b: CubicElem
+    norm_c: CubicElem
+    m1_sq: Optional[CubicElem] = None
+    m1_point: tuple[int, int] = (0, 0)
 
-    # dyadic enclosure state for integer-triple sign tests
     def __post_init__(self):
-        self._pows: dict[int, tuple[int, int, int, int, int]] = {}
-        self._sign_policy = default_policy(96)
+        # N(q theta - p)^2 = q^2 N(theta)^2 - q (p1 K1 + p2 K2)
+        #                    + A p1^2 + B p1 p2 + C p2^2,
+        # K1 = 2A/beta + B/beta^2, K2 = B/beta + 2C/beta^2, all in Z[beta]
+        inv, inv2 = self.beta_inv, self.beta_inv2
+        k1 = exact_add(exact_mul(self.norm_a, exact_mul(inv, Fraction(2))),
+                       exact_mul(self.norm_b, inv2))
+        k2 = exact_add(exact_mul(self.norm_b, inv),
+                       exact_mul(self.norm_c, exact_mul(inv2, Fraction(2))))
+        self.theta_norm_sq = self.norm_sq(inv, inv2)
+        # coordinate i of (K1, K2, A, B, C), for the box search
+        self._box_terms = tuple(zip(*((e.n0, e.n1, e.n2) for e in
+                                      (k1, k2, self.norm_a, self.norm_b,
+                                       self.norm_c))))
+        self._beta_float = exact_enclosure(self.beta, 64).to_float()
 
-    def _beta_bounds(self, bits: int) -> tuple[int, int, int, int, int]:
-        """1, beta and beta^2 scaled by 4^bits: the integer 4^bits and
-        integer lower and upper bounds of the other two."""
-        cached = self._pows.get(bits)
-        if cached is None:
-            lo, hi = self.field.refine(bits)
-            scale = 1 << bits
-            lo_i = math.floor(lo * scale)
-            hi_i = math.ceil(hi * scale)
-            cached = (scale * scale, lo_i * scale, hi_i * scale,
-                      lo_i * lo_i, hi_i * hi_i)
-            self._pows[bits] = cached
-        return cached
+    def zb_sign(self, x: CubicElem) -> int:
+        """Exact sign of an element of Q(beta)."""
+        return exact_sign(x)
 
-    def zb_sign(self, z: tuple[int, int, int]) -> int:
-        """Exact sign of z0 + z1 beta + z2 beta^2."""
-        if z == (0, 0, 0):
-            return 0
-
-        def at(bits: int) -> int:
-            one, b_lo, b_hi, b2_lo, b2_hi = self._beta_bounds(bits)
-            lo = hi = z[0] * one
-            for coef, plo, phi in ((z[1], b_lo, b_hi), (z[2], b2_lo, b2_hi)):
-                if coef >= 0:
-                    lo += coef * plo
-                    hi += coef * phi
-                else:
-                    lo += coef * phi
-                    hi += coef * plo
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            raise NeedsMoreBits("Z[beta] sign unresolved", detail=z)
-
-        # beta is irrational of degree 3, so a nonzero z settles
-        return decide(at, self._sign_policy)
-
-    def zb_norm_sq(self, x1: tuple[int, int, int],
-                   x2: tuple[int, int, int]) -> tuple[int, int, int]:
-        a, b = self.a, self.b
-        t = _zb_add(_zb_mul(self.norm_a, _zb_mul(x1, x1, a, b), a, b),
-                    _zb_mul(self.norm_b, _zb_mul(x1, x2, a, b), a, b))
-        return _zb_add(t, _zb_mul(self.norm_c, _zb_mul(x2, x2, a, b), a, b))
-
-    def elem(self, z: tuple[int, int, int], den: int = 1) -> CubicElem:
-        return self.field.element(Fraction(z[0], den), Fraction(z[1], den),
-                                  Fraction(z[2], den))
+    def norm_sq(self, x1: Exact, x2: Exact) -> CubicElem:
+        """N((x1, x2))^2 for x1, x2 in Q(beta), exactly."""
+        return exact_add(
+            exact_add(exact_mul(self.norm_a, exact_mul(x1, x1)),
+                      exact_mul(self.norm_b, exact_mul(x1, x2))),
+            exact_mul(self.norm_c, exact_mul(x2, x2)))
 
 
 def pisot_cubic_check(a: int, b: int) -> PisotCubicParams:
@@ -295,71 +239,58 @@ def pisot_cubic_check(a: int, b: int) -> PisotCubicParams:
     beta_inv = field.element(-b, -a, 1)  # beta^2 - a beta - b
     beta_inv2 = exact_mul(beta_inv, beta_inv)
     alpha_re = field.element(Fraction(a, 2), Fraction(-1, 2), 0)
-    alpha_abs_sq = beta_inv
-    alpha_im_sq = exact_add(alpha_abs_sq, exact_neg(exact_mul(alpha_re, alpha_re)))
+    # |alpha|^2 = 1/beta
+    alpha_im_sq = exact_add(beta_inv, exact_neg(exact_mul(alpha_re, alpha_re)))
     if exact_sign(alpha_im_sq) <= 0:
         raise InvalidPisot("complex pair degenerate: Im(alpha)^2 <= 0")
 
-    zb_inv = (-b, -a, 1)
-    zb_inv2 = _zb_mul(zb_inv, zb_inv, a, b)
-    # N(x)^2 = A x1^2 + B x1 x2 + C x2^2 with
     # A = b(a - beta)/beta + b^2/beta^2 + 1/beta, B = (a-beta)/beta + 2b/beta^2,
-    # C = 1/beta^2; all of these lie in Z[beta]
-    a_minus_beta = (a, -1, 0)
-    norm_a = _zb_add(_zb_add(_zb_mul(_zb_scale(a_minus_beta, b), zb_inv, a, b),
-                             _zb_scale(zb_inv2, b * b)), zb_inv)
-    norm_b = _zb_add(_zb_mul(a_minus_beta, zb_inv, a, b), _zb_scale(zb_inv2, 2 * b))
-    norm_c = zb_inv2
-
+    # C = 1/beta^2
+    a_minus_beta = field.element(a, -1, 0)
+    norm_a = exact_add(
+        exact_add(exact_mul(exact_mul(a_minus_beta, Fraction(b)), beta_inv),
+                  exact_mul(beta_inv2, Fraction(b * b))), beta_inv)
+    norm_b = exact_add(exact_mul(a_minus_beta, beta_inv),
+                       exact_mul(beta_inv2, Fraction(2 * b)))
     params = PisotCubicParams(a, b, field, beta, beta_inv, beta_inv2,
-                              alpha_re, alpha_im_sq,
-                              field.element(0), (0, 0),
-                              norm_a, norm_b, norm_c, zb_inv, zb_inv2)
-    m1_sq, point = _lattice_min(params, 1)
-    params.m1_sq = params.elem(m1_sq)
-    params.m1_point = point
+                              alpha_re, alpha_im_sq, norm_a, norm_b, beta_inv2)
+    params.m1_sq, params.m1_point = _lattice_min(params, 1)
     return params
 
 
 def _lattice_min(params: PisotCubicParams, q: int,
-                 radius: int = 3) -> tuple[tuple[int, int, int], tuple[int, int]]:
-    """min over p in Z^2 of N(q theta - p)^2 as a Z[beta] triple, plus argmin.
+                 radius: int = 3) -> tuple[CubicElem, tuple[int, int]]:
+    """min over a box of p in Z^2 of N(q theta - p)^2, plus the argmin.
 
-    theta = (1/beta, 1/beta^2); the search box is centered on the real
-    coordinates and widened until the boundary cannot beat the interior
-    minimum (norm equivalence with the max norm).
+    theta = (1/beta, 1/beta^2).  The box holds the (2 radius + 2)^2 points
+    with p_i from floor(q theta_i) - radius to floor(q theta_i) + radius + 1;
+    its size is fixed, not widened.  Points are compared through
+    N(q theta - p)^2 - N(q theta)^2 = A p1^2 + B p1 p2 + C p2^2
+    - q (p1 K1 + p2 K2), an integer combination of five fixed elements of
+    Z[beta]: one sign test per point, no field multiplication.  The
+    winner's norm is built once.
     """
-    t1 = _zb_scale(params.zb_inv, q)
-    t2 = _zb_scale(params.zb_inv2, q)
-    beta_f = _beta_float(params)
-    c1 = q / beta_f
-    c2 = q / (beta_f * beta_f)
-    best = None
-    best_p = None
+    field = params.field
+    c1 = q / params._beta_float
+    c2 = q / (params._beta_float * params._beta_float)
+    best = best_p = None
     for p1 in range(math.floor(c1) - radius, math.floor(c1) + radius + 2):
         for p2 in range(math.floor(c2) - radius, math.floor(c2) + radius + 2):
-            x1 = _zb_sub(t1, (p1, 0, 0))
-            x2 = _zb_sub(t2, (p2, 0, 0))
-            val = params.zb_norm_sq(x1, x2)
-            if best is None or params.zb_sign(_zb_sub(val, best)) < 0:
-                best = val
-                best_p = (p1, p2)
-    return best, best_p
-
-
-def _beta_float(params: PisotCubicParams) -> float:
-    lo, hi = params.field.refine(64)
-    return float((lo + hi) / 2)
+            u, v, w, x, y = -q * p1, -q * p2, p1 * p1, p1 * p2, p2 * p2
+            off = [u * k1 + v * k2 + w * fa + x * fb + y * fc
+                   for k1, k2, fa, fb, fc in params._box_terms]
+            if best is None or params.zb_sign(CubicElem(
+                    field, off[0] - best[0], off[1] - best[1],
+                    off[2] - best[2])) < 0:
+                best, best_p = off, (p1, p2)
+    norm = exact_add(exact_mul(params.theta_norm_sq, Fraction(q * q)),
+                     CubicElem(field, *best))
+    return norm, best_p
 
 
 def rauzy_norm_sq(params: PisotCubicParams, x1: Fraction, x2: Fraction) -> CubicElem:
     """N(x)^2 for rational x, exactly in the cubic field."""
-    x1, x2 = Fraction(x1), Fraction(x2)
-    d = math.lcm(x1.denominator, x2.denominator)
-    z1 = (x1.numerator * (d // x1.denominator), 0, 0)
-    z2 = (x2.numerator * (d // x2.denominator), 0, 0)
-    raw = params.zb_norm_sq(z1, z2)
-    return params.elem(raw, d * d)
+    return params.norm_sq(Fraction(x1), Fraction(x2))
 
 
 def rauzy_norm(params: PisotCubicParams, x1, x2) -> ExactReal:
@@ -405,13 +336,14 @@ def best_approximations(params: PisotCubicParams, q_max: int,
     track = set(track)
     flagged: list[BestApproxRecord] = []
     norm_sq_of: dict[int, CubicElem] = {}
-    running: Optional[tuple[int, int, int]] = None
+    running: Optional[CubicElem] = None
     for q in range(1, q_max + 1):
         val, point = _lattice_min(params, q, radius=2)
         if q in track:
-            norm_sq_of[q] = params.elem(val)
-        if running is None or params.zb_sign(_zb_sub(val, running)) < 0:
-            flagged.append(BestApproxRecord(q, point, params.elem(val), True))
+            norm_sq_of[q] = val
+        if running is None or params.zb_sign(
+                exact_add(val, exact_neg(running))) < 0:
+            flagged.append(BestApproxRecord(q, point, val, True))
             running = val
     return BestApproxReport(q_max, flagged, norm_sq_of)
 
@@ -460,16 +392,12 @@ class PisotGpPredicate:
 
     def __init__(self, params: PisotCubicParams, calibration_qmax: int = 400):
         self.params = params
-        f = params.field
-        self.c1 = exact_mul(
-            exact_add(exact_mul(f.element(params.b), params.beta), f.element(1)),
-            params.beta_inv2)  # (b beta + 1)/beta^2
+        # (b beta + 1)/beta^2
+        self.c1 = exact_mul(params.field.element(1, params.b), params.beta_inv2)
         self.c2 = params.beta_inv
         # beta * Re(alpha + b/beta) = beta (a - beta)/2 + b
-        self.beta_re = exact_add(
-            exact_mul(params.beta,
-                      f.element(Fraction(params.a, 2), Fraction(-1, 2), 0)),
-            f.element(params.b))
+        self.beta_re = exact_add(exact_mul(params.beta, params.alpha_re),
+                                 Fraction(params.b))
         self._record_const = self._calibrate(calibration_qmax)
         self.threshold = exact_mul(self._record_const, Fraction(2))
 
@@ -499,22 +427,14 @@ class PisotGpPredicate:
 
     def h_sq(self, q: int) -> CubicElem:
         p = self.params
-        x1 = exact_add(exact_mul(p.beta_inv, Fraction(q)), Fraction(0))
+        x1 = exact_mul(p.beta_inv, Fraction(q))
         p1 = _cubic_nearest(p, x1)
         x1 = exact_add(x1, Fraction(-p1))
         inner = exact_add(exact_mul(self.beta_re, x1),
                           exact_mul(p.beta_inv2, Fraction(q)))
         p2 = _cubic_nearest(p, inner)
         x2 = exact_add(exact_mul(p.beta_inv2, Fraction(q)), Fraction(-p2))
-        # N((x1, x2))^2 via the exact quadratic form
-        a_el = p.elem(p.norm_a)
-        b_el = p.elem(p.norm_b)
-        c_el = p.elem(p.norm_c)
-        out = exact_add(
-            exact_add(exact_mul(a_el, exact_mul(x1, x1)),
-                      exact_mul(b_el, exact_mul(x1, x2))),
-            exact_mul(c_el, exact_mul(x2, x2)))
-        return out
+        return p.norm_sq(x1, x2)
 
     def __call__(self, q: int) -> int:
         """1 iff h(q)^2 < 1/g(q) for the calibrated normalization."""
@@ -549,32 +469,6 @@ def pisot_gp_set(params: PisotCubicParams) -> PisotGpPredicate:
 # nearest powers of beta
 
 
-def _cubic_inverse(params: PisotCubicParams, x: CubicElem) -> CubicElem:
-    """Inverse in Q(beta) by solving the 3x3 multiplication system."""
-    f = params.field
-    cols = []
-    basis = [f.element(1), f.beta, exact_mul(f.beta, f.beta)]
-    for e in basis:
-        prod = exact_mul(x, e)
-        cols.append(list(prod.c))
-    # solve M y = (1, 0, 0)
-    m = [[cols[j][i] for j in range(3)] for i in range(3)]
-    rhs = [Fraction(1), Fraction(0), Fraction(0)]
-    for col in range(3):
-        piv = next(r for r in range(col, 3) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        rhs[col] = rhs[col] * inv
-        for r in range(3):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-                rhs[r] = rhs[r] - factor * rhs[col]
-    return f.element(rhs[0], rhs[1], rhs[2])
-
-
 @dataclass
 class NearestPowerReport:
     u_coeffs: tuple[Fraction, Fraction, Fraction]
@@ -594,16 +488,9 @@ def leading_coefficient(params: PisotCubicParams) -> CubicElem:
     numerator G and derivative p' of the minimal polynomial."""
     a, b = params.a, params.b
     r0, r1, r2 = 1, a, a * a + b
-    f = params.field
-    g_beta = exact_add(
-        exact_add(exact_mul(f.element(r0), exact_mul(f.beta, f.beta)),
-                  exact_mul(f.element(r1 - a * r0), f.beta)),
-        f.element(r2 - a * r1 - b * r0))
-    p_prime = exact_add(
-        exact_add(exact_mul(f.element(3), exact_mul(f.beta, f.beta)),
-                  exact_mul(f.element(-2 * a), f.beta)),
-        f.element(-b))
-    return exact_mul(g_beta, _cubic_inverse(params, p_prime))
+    g_beta = params.field.element(r2 - a * r1 - b * r0, r1 - a * r0, r0)
+    p_prime = params.field.element(-b, -2 * a, 3)
+    return exact_mul(g_beta, cubic_inverse(p_prime))
 
 
 def nearest_power_set_equiv(params: PisotCubicParams, horizon: int = 40,

@@ -1,10 +1,13 @@
+import functools
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilseq.exactreal import (
+    CubicElem,
     CubicField,
     ExactReal,
     IntervalValue,
@@ -20,6 +23,7 @@ from nilseq.exactreal import (
     exact_mul,
     exact_neg,
     exact_sign,
+    cubic_inverse,
     make_quad,
 )
 
@@ -80,6 +84,76 @@ def test_cubic_field_basics():
     inv = exact_add(b2, exact_neg(beta))  # beta^2 - beta = 1/beta
     assert exact_mul(beta, inv) == field.element(1)
     assert exact_floor(exact_mul(b3, b2)) == 6  # beta^5 ~ 6.75
+
+
+def test_cubic_fields_equal_only_on_the_same_root():
+    # x^3 - 3x + 1 has roots near -1.88, 0.35 and 1.53
+    small = CubicField((1, 0, -3, 1), -1, 1)
+    large = CubicField((1, 0, -3, 1), 1, 2)
+    assert small != large
+    assert exact_add(small.beta, large.beta) is None
+    # the same root of x^3 - x^2 - 1 under two isolating intervals
+    wide = CubicField((1, -1, 0, -1), 1, 2)
+    narrow = CubicField((1, -1, 0, -1), 1, Fraction(3, 2))
+    assert wide == narrow and hash(wide) == hash(narrow)
+    assert exact_add(wide.beta, exact_neg(narrow.beta)).is_zero()
+
+
+def test_cubic_inverse_from_cofactors():
+    field = CubicField((1, 0, -3, 1), -1, 1)
+    for x in (field.beta, field.element(Fraction(2, 3), -5, Fraction(7, 4)),
+              field.element(-1, 0, 1)):
+        assert exact_mul(x, cubic_inverse(x)) == field.element(1)
+    with pytest.raises(ZeroDivisionError):
+        cubic_inverse(field.element(0))
+
+
+# x^3 - x^2 - 1 on [1, 2], x^3 + 2 on [-2, -1] (a negative root), and
+# x^3 - 3x + 1 on [-1, 1] and [-1/2, 1/2] (isolating intervals around 0)
+CUBICS = [((1, -1, 0, -1), 1, 2), ((1, 0, 0, 2), -2, -1),
+          ((1, 0, -3, 1), -1, 1), ((1, 0, -3, 1), Fraction(-1, 2), Fraction(1, 2))]
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_root(coeffs, lo, hi):
+    with mpmath.workprec(400):
+        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=400)
+        return next(mpmath.re(r) for r in roots if abs(mpmath.im(r)) < 1e-100
+                    and float(lo) <= mpmath.re(r) <= float(hi))
+
+
+def test_cubic_bounds_enclose_beta_and_its_square():
+    for coeffs, lo, hi in CUBICS:
+        field = CubicField(coeffs, lo, hi)
+        root = _mp_root(coeffs, lo, hi)
+        with mpmath.workprec(400):
+            for bits in (0, 1, 8, 64):
+                one, b_lo, b_hi, s_lo, s_hi = field.bounds(bits)
+                assert b_lo <= root * one <= b_hi
+                assert s_lo <= root * root * one <= s_hi
+    # [-1/2, 1/2] is already 2^0 wide: its bounds still straddle 0
+    one, b_lo, b_hi, s_lo, s_hi = CubicField(*CUBICS[3]).bounds(0)
+    assert b_lo < 0 < b_hi and s_lo == 0
+
+
+@given(st.sampled_from(CUBICS),
+       st.tuples(*[st.integers(-10**6, 10**6)] * 3), st.integers(1, 1000),
+       st.tuples(*[st.integers(-1000, 1000)] * 3))
+@settings(max_examples=300, deadline=None)
+def test_cubic_floor_and_sign_match_mpmath(cubic, nums, den, other):
+    coeffs, lo, hi = cubic
+    field = CubicField(coeffs, lo, hi)
+    x = CubicElem(field, *nums, den)
+    y = exact_mul(x, CubicElem(field, *other))
+    root = _mp_root(coeffs, lo, hi)
+    with mpmath.workprec(400):
+        for elem in (x, y):
+            value = (elem.n0 + elem.n1 * root + elem.n2 * root**2) / elem.den
+            assert exact_floor(elem) == int(mpmath.floor(value))
+            assert exact_sign(elem) == (value > 0) - (value < 0)
+            iv = exact_enclosure(elem, 96)
+            assert (mpmath.mpf(iv.lower.numerator) / iv.lower.denominator <= value
+                    <= mpmath.mpf(iv.upper.numerator) / iv.upper.denominator)
 
 
 def test_cubic_rejects_reducible(wall_clock_limit):

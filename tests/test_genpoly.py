@@ -59,6 +59,16 @@ def test_floor_sqrt2_times_5():
     assert eval_gp_int(parse_gp("(floor (* (sqrt 2) n))"), 5) == 7
 
 
+def test_roots_of_one_cubic():
+    # two roots of x^3 - 3x + 1: 10 (0.347... + 1.532...) = 18.79...
+    two = "(floor (* 10 (+ (root 1 0 -3 1 -1 1) (root 1 0 -3 1 1 2))))"
+    assert eval_gp_int(parse_gp(two), 0) == 18
+    # one root of x^3 - x^2 - 1 under two isolating intervals cancels exactly
+    one = ("(floor (* 10 (+ (root 1 -1 0 -1 1 2)"
+           " (* -1 (root 1 -1 0 -1 1 3/2)))))")
+    assert eval_gp_int(parse_gp(one), 0) == 0
+
+
 def test_derived_forms_exact_identities():
     # <<x>> = floor(x + 1/2), {x} = x - floor(x), ||x|| = |x - <<x>>|,
     # including the half-integer tie, which rounds up

@@ -237,6 +237,20 @@ def test_gp_predicate_precision_independent():
         assert r256 == r1024 == pred(q)
 
 
+@pytest.mark.parametrize("a, b, qs", [(1, 1, (3, 6, 11, 20, 37)),
+                                      (3, -1, (2, 5, 14, 39, 108))])
+def test_gp_predicate_exact_ties(a, b, qs):
+    # h(q)^2 g(q) equals the threshold exactly: not a member, and no
+    # enclosure can decide it
+    pred = pisot_gp_set(pisot_cubic_check(a, b))
+    for q in qs:
+        lhs = exact_mul(pred.h_sq(q), pred.g_value(q))
+        assert exact_compare(lhs, pred.threshold) == 0
+        assert pred(q) == 0
+        assert pred.interval_replay(q, 256) is None
+        assert pred.interval_replay(q, 1024) is None
+
+
 def test_gp_predicate_other_family():
     p = pisot_cubic_check(2, -1)
     pred = pisot_gp_set(p)
