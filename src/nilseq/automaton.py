@@ -182,8 +182,7 @@ def minimize(dfao: Dfao) -> Dfao:
     for s in states:
         rep.setdefault(block[s], s)
     queue = [dfao.initial]
-    while queue:
-        s = queue.pop(0)
+    for s in queue:  # breadth-first: the list grows while it is walked
         for d in range(dfao.base):
             b = block[dfao.step(s, d)]
             if b not in seen:
@@ -235,12 +234,10 @@ def reverse_reading(dfao: Dfao, state_budget: int = 10**6) -> Dfao:
     n = dfao.n_states
     h0 = tuple(dfao.outputs)
     index = {h0: 0}
-    table: list[tuple[int, ...] | None] = [None]
+    table = []
     out = [h0[dfao.initial]]
     queue = [h0]
-    while queue:
-        h = queue.pop(0)
-        i = index[h]
+    for h in queue:  # breadth-first: the list grows while it is walked
         row = []
         for d in range(dfao.base):
             h2 = tuple(h[dfao.step(s, d)] for s in range(n))
@@ -250,11 +247,10 @@ def reverse_reading(dfao: Dfao, state_budget: int = 10**6) -> Dfao:
                 if j >= state_budget:
                     raise BudgetExceeded("reversal subset construction exceeded budget")
                 index[h2] = j
-                table.append(None)
                 out.append(h2[dfao.initial])
                 queue.append(h2)
             row.append(j)
-        table[i] = tuple(row)
+        table.append(tuple(row))
     order = ReadingOrder.LSD if dfao.order is ReadingOrder.MSD else ReadingOrder.MSD
     rev = Dfao(dfao.base, tuple(table), tuple(out), 0, order)
     return minimize(rev)
@@ -305,8 +301,7 @@ def product(dfao1: Dfao, dfao2: Dfao, combiner: Callable) -> Dfao:
     table = []
     out = [combiner(dfao1.outputs[start[0]], dfao2.outputs[start[1]])]
     queue = [start]
-    while queue:
-        a, b = queue.pop(0)
+    for a, b in queue:  # breadth-first: the list grows while it is walked
         row = []
         for d in range(dfao1.base):
             p = (dfao1.step(a, d), dfao2.step(b, d))
@@ -335,8 +330,10 @@ class KernelReport:
     """Exact census of the k-kernel of the computed sequence.
 
     ``classes`` maps class id -> (level, residue, lsd_state) of the first
-    witness; ``index_map`` covers every residue at each explored level;
-    ``size`` is the number of distinct subsequences n -> a(k^t n + r).
+    witness; ``index_map`` maps (level, residue) -> class id for every
+    residue of each level, up to the first level that would take it past
+    ``map_entry_cap`` entries, and holds no later level; ``size`` is the
+    number of distinct subsequences n -> a(k^t n + r).
     """
 
     classes: tuple[tuple[int, int, int], ...]
@@ -361,11 +358,18 @@ def _canonical_partition(dfao: Dfao) -> dict[int, int]:
 
 
 def kernel(dfao: Dfao, state_cap: int = 10**6, map_entry_cap: int = 4096) -> KernelReport:
-    """Kernel classes by breadth-first closure over (level, residue) pairs.
+    """Kernel classes by breadth-first closure over the LSD states, level by
+    level.
 
-    Class equality is decided exactly: two pairs (t, r), (t', r') give the
-    same kernel element iff the corresponding LSD states compute identical
-    functions.  Never decided from sampled prefixes.
+    Level t holds the residues r < k^t in enumeration order (those of level
+    t - 1 in order, each followed by digits 0..k-1) with the LSD state that
+    reads r.  Every residue is kept while the level still fits in
+    ``index_map`` (at most ``map_entry_cap`` entries in all); after that a
+    level keeps only the first residue of each state, at most one entry per
+    LSD state, so the closure costs O(depth * states * k) rather than
+    O(k^depth).  Class equality is decided exactly: two pairs (t, r),
+    (t', r') give the same kernel element iff the corresponding LSD states
+    compute identical functions.  Never decided from sampled prefixes.
     """
     lsd = to_lsd(dfao, state_budget=state_cap)
     if not is_zero_invariant(lsd):
@@ -382,36 +386,36 @@ def kernel(dfao: Dfao, state_cap: int = 10**6, map_entry_cap: int = 4096) -> Ker
     classes: list[tuple[int, int, int]] = []
     index_map: dict[tuple[int, int], int] = {}
     seen_states = {lsd.initial}
-    level = {0: lsd.initial}  # residue -> state at current level
+    # (residue, state) pairs of level t in enumeration order: every residue
+    # while the level is stored in index_map, else the first residue of
+    # each state.  A state's first residue has the first residue of each of
+    # its successors among its own successors, so dropping the repeats
+    # changes no first witness and keeps the order of the rest.
+    level = [(0, lsd.initial)]
+    storing = len(level) <= map_entry_cap
     t = 0
-    storing = True
     while True:
-        if storing and len(index_map) + len(level) <= map_entry_cap:
-            for r, s in level.items():
-                key = class_key(s)
-                if key not in class_ids:
-                    class_ids[key] = len(classes)
-                    classes.append((t, r, s))
-                index_map[(t, r)] = class_ids[key]
-        else:
-            storing = False
-            for r, s in level.items():
-                key = class_key(s)
-                if key not in class_ids:
-                    class_ids[key] = len(classes)
-                    classes.append((t, r, s))
-        new_states = False
-        nxt = {}
-        for r, s in level.items():
+        for r, s in level:
+            cid = class_ids.setdefault(class_key(s), len(classes))
+            if cid == len(classes):
+                classes.append((t, r, s))
+            if storing:
+                index_map[(t, r)] = cid
+        # a stored level is complete, so the next one has k times its entries
+        storing = storing and len(index_map) + k * len(level) <= map_entry_cap
+        nxt = []
+        met = set()
+        kt = k**t
+        for r, s in level:
             for d in range(k):
                 s2 = lsd.step(s, d)
-                nxt[r + d * k**t] = s2
-                if s2 not in seen_states:
-                    seen_states.add(s2)
-                    new_states = True
-        if not new_states and t >= 1:
+                if storing or s2 not in met:
+                    met.add(s2)
+                    nxt.append((r + d * kt, s2))
+        if met <= seen_states and t >= 1:
             # all reachable states met; every kernel class witnessed
             break
+        seen_states |= met
         level = nxt
         t += 1
     # count classes over the full reachable set, not only the explored map

@@ -411,39 +411,48 @@ class PisotGpPredicate:
         if len(flags) < 6:
             raise InvalidPisot("too few best approximations to calibrate")
         tail = flags[-3:]
-        values = [exact_mul(self.h_sq(q), self.g_value(q)) for q in tail]
+        values = [exact_mul(self._h_sq(t), self._g(t)) for t in map(self._terms, tail)]
         for v in values[1:]:
             if not exact_add(v, exact_neg(values[0])).is_zero():
                 raise InvalidPisot("record product not constant; calibration failed")
         return values[0]
 
-    def g_value(self, q: int) -> CubicElem:
+    def _terms(self, q: int) -> tuple[int, CubicElem, CubicElem, int]:
+        """(q, q/beta, q/beta^2, <<q/beta>>): what g(q) and h(q) share."""
         p = self.params
-        p1 = _cubic_nearest(p, exact_mul(p.beta_inv, Fraction(q)))
-        p2 = _cubic_nearest(p, exact_mul(p.beta_inv2, Fraction(q)))
+        x1 = exact_mul(p.beta_inv, Fraction(q))
+        return q, x1, exact_mul(p.beta_inv2, Fraction(q)), _cubic_nearest(p, x1)
+
+    def _g(self, terms) -> CubicElem:
+        q, _, y, p1 = terms
+        p = self.params
+        p2 = _cubic_nearest(p, y)
         acc = exact_add(p.field.element(q), exact_mul(self.c1, Fraction(p1)))
         acc = exact_add(acc, exact_mul(self.c2, Fraction(p2)))
         return acc  # this is g(q) * m1^2
 
-    def h_sq(self, q: int) -> CubicElem:
+    def _h_sq(self, terms) -> CubicElem:
+        _, x1, y, p1 = terms
         p = self.params
-        x1 = exact_mul(p.beta_inv, Fraction(q))
-        p1 = _cubic_nearest(p, x1)
         x1 = exact_add(x1, Fraction(-p1))
-        inner = exact_add(exact_mul(self.beta_re, x1),
-                          exact_mul(p.beta_inv2, Fraction(q)))
-        p2 = _cubic_nearest(p, inner)
-        x2 = exact_add(exact_mul(p.beta_inv2, Fraction(q)), Fraction(-p2))
-        return p.norm_sq(x1, x2)
+        p2 = _cubic_nearest(p, exact_add(exact_mul(self.beta_re, x1), y))
+        return p.norm_sq(x1, exact_add(y, Fraction(-p2)))
+
+    def g_value(self, q: int) -> CubicElem:
+        return self._g(self._terms(q))
+
+    def h_sq(self, q: int) -> CubicElem:
+        return self._h_sq(self._terms(q))
 
     def __call__(self, q: int) -> int:
         """1 iff h(q)^2 < 1/g(q) for the calibrated normalization."""
         if q < 1:
             return 0
-        gm = self.g_value(q)
+        terms = self._terms(q)
+        gm = self._g(terms)
         if exact_sign(gm) <= 0:
             return 0
-        lhs = exact_mul(self.h_sq(q), gm)
+        lhs = exact_mul(self._h_sq(terms), gm)
         return 1 if exact_compare(lhs, self.threshold) < 0 else 0
 
     def interval_replay(self, q: int, bits: int) -> Optional[int]:
@@ -451,8 +460,9 @@ class PisotGpPredicate:
         enclosure cannot decide (never silently rounds)."""
         if q < 1:
             return 0
-        gm = exact_enclosure(self.g_value(q), bits)
-        lhs = exact_enclosure(self.h_sq(q), bits) * gm
+        terms = self._terms(q)
+        gm = exact_enclosure(self._g(terms), bits)
+        lhs = exact_enclosure(self._h_sq(terms), bits) * gm
         rhs = exact_enclosure(self.threshold, bits)
         if lhs.upper < rhs.lower:
             return 1

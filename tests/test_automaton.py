@@ -3,8 +3,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import digit_sum
 from nilseq.automaton import (
+    BudgetExceeded,
     Dfao,
+    KernelReport,
     ReadingOrder,
+    _canonical_partition,
     base_power,
     baum_sweet,
     constant,
@@ -78,6 +81,127 @@ def test_kernel_index_map(tm):
 def test_kernel_minimize_consistency(tm, powers2, bs, eleven_free):
     for a in (tm, powers2, bs, eleven_free):
         assert kernel(minimize(a)).size == kernel(a).size
+
+
+def per_residue_kernel(dfao, state_cap=10**6, map_entry_cap=4096):
+    """Reference: the closure that keeps every residue r < k^t at every
+    level, so its cost grows like k^depth.  ``kernel`` must agree with it
+    exactly; keep the inputs small."""
+    lsd = to_lsd(dfao, state_budget=state_cap)
+    if not is_zero_invariant(lsd):
+        raise ValueError("kernel requires a leading-zero invariant automaton")
+    if lsd.n_states > state_cap:
+        raise BudgetExceeded("kernel state closure exceeded cap")
+    block = _canonical_partition(lsd)
+    k = lsd.base
+
+    def class_key(s):
+        return (lsd.outputs[s], block[s])
+
+    class_ids: dict[tuple, int] = {}
+    classes: list[tuple[int, int, int]] = []
+    index_map: dict[tuple[int, int], int] = {}
+    seen_states = {lsd.initial}
+    level = {0: lsd.initial}  # residue -> state at current level
+    t = 0
+    storing = True
+    while True:
+        if storing and len(index_map) + len(level) <= map_entry_cap:
+            for r, s in level.items():
+                key = class_key(s)
+                if key not in class_ids:
+                    class_ids[key] = len(classes)
+                    classes.append((t, r, s))
+                index_map[(t, r)] = class_ids[key]
+        else:
+            storing = False
+            for r, s in level.items():
+                key = class_key(s)
+                if key not in class_ids:
+                    class_ids[key] = len(classes)
+                    classes.append((t, r, s))
+        new_states = False
+        nxt = {}
+        for r, s in level.items():
+            for d in range(k):
+                s2 = lsd.step(s, d)
+                nxt[r + d * k**t] = s2
+                if s2 not in seen_states:
+                    seen_states.add(s2)
+                    new_states = True
+        if not new_states and t >= 1:
+            # all reachable states met; every kernel class witnessed
+            break
+        level = nxt
+        t += 1
+    # count classes over the full reachable set, not only the explored map
+    size = len({class_key(s) for s in seen_states})
+    assert size == len(classes)
+    return KernelReport(tuple(classes), index_map, size)
+
+
+@st.composite
+def small_kernel_input(draw):
+    # The reference explores k^depth residues and depth <= LSD states, so
+    # MSD inputs get at most 3 states with binary outputs (at most 8 LSD
+    # states after reversal) and LSD inputs at most 5 states.
+    base = draw(st.sampled_from([2, 3]))
+    order = draw(st.sampled_from([ReadingOrder.MSD, ReadingOrder.LSD]))
+    n = draw(st.integers(1, 3 if order is ReadingOrder.MSD else 5))
+    outputs = [draw(st.integers(0, 1 if order is ReadingOrder.MSD else 2))
+               for _ in range(n)]
+    rows = [[draw(st.integers(0, n - 1)) for _ in range(base)]
+            for _ in range(n)]
+    if order is ReadingOrder.MSD:
+        rows[0][0] = 0
+    else:
+        # a 0-successor with the state's own output keeps LSD zero invariance
+        for s in range(n):
+            rows[s][0] = draw(st.sampled_from(
+                [u for u in range(n) if outputs[u] == outputs[s]]))
+    return Dfao(base, tuple(map(tuple, rows)), tuple(outputs), 0, order)
+
+
+@given(small_kernel_input(), st.sampled_from([1, 8, 4096]))
+@settings(max_examples=300, deadline=None)
+def test_kernel_matches_per_residue_reference(dfao, cap):
+    # caps 1 and 8 stop the stored prefix early, so the per-state levels
+    # and the switch to them both run
+    want = per_residue_kernel(dfao, map_entry_cap=cap)
+    got = kernel(dfao, map_entry_cap=cap)
+    assert got.classes == want.classes
+    assert got.index_map == want.index_map
+    assert got.size == want.size
+
+
+def residue_lsd(k: int, m: int, c: int) -> Dfao:
+    """Indicator of n = c (mod m) read LSD first: states are pairs
+    (residue so far, position mod the order of k mod m)."""
+    period = 1
+    while pow(k, period, m) != 1:
+        period += 1
+    rows, outputs = [], []
+    for r in range(m):
+        for t in range(period):
+            w = pow(k, t, m)
+            rows.append(tuple(((r + d * w) % m) * period + (t + 1) % period
+                              for d in range(k)))
+            outputs.append(int(r == c))
+    return Dfao(k, tuple(rows), tuple(outputs), 0, ReadingOrder.LSD)
+
+
+def test_kernel_of_deep_product_is_fast(wall_clock_limit):
+    # 1,368 LSD states whose breadth-first closure is 26 levels deep: a
+    # closure that keeps every residue r < 2^t per level builds a level of
+    # 2^27 entries here, far beyond 2 GB
+    no_111 = reverse_reading(from_prohibited_patterns(2, [(1, 1, 1)]))
+    prod = product(residue_lsd(2, 19, 3), no_111, lambda x, y: x & y)
+    with wall_clock_limit(5):
+        size = kernel(prod).size
+    assert size == kernel(minimize(prod)).size
+    census = {tuple(prod.eval((1 << t) * n + r) for n in range(24))
+              for t in range(9) for r in range(1 << t)}
+    assert size >= len(census)
 
 
 # --- reversal, base power, product ----------------------------------
