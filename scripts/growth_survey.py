@@ -6,7 +6,6 @@ Emits plot-ready CSV on stdout.
 
 import sys
 
-from nilseq.automaton import count_accepted_below
 from nilseq.fixtures import fixture_suite
 from nilseq.sparsity import classify, growth_census
 

@@ -2,17 +2,18 @@
 
 A DFAO computes a sequence by reading the base-k digits of n (most- or
 least-significant first, with leading-zero invariance) and applying an
-output map to the final state.  This module provides evaluation, exact
-kernel computation, reading-order reversal, base-power change, products,
+output map to the final state.  This module provides evaluation, the
+breadth-first walk that every automaton search is built on, exact kernel
+computation, reading-order reversal, base-power change, products,
 minimization, pattern-set builders, and pumping witnesses.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .digits import DigitWord, from_digits, to_digits, to_digits_lsd
 
@@ -85,19 +86,82 @@ class Dfao:
     def accepts(self, n: int) -> bool:
         return self.eval(n) == 1
 
+    def successors(self, state: int) -> Iterable[tuple[int, int]]:
+        """(digit, successor) pairs of a state, digits ascending."""
+        return enumerate(self.transitions[state])
+
     def reachable_states(self) -> list[int]:
-        seen = {self.initial}
-        stack = [self.initial]
-        while stack:
-            s = stack.pop()
-            for t in self.transitions[s]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return sorted(seen)
+        return sorted(reach([self.initial], self.successors))
 
     def is_binary(self) -> bool:
         return set(self.outputs) <= {0, 1}
+
+
+# ---------------------------------------------------------------------------
+# breadth-first walk
+
+
+def breadth_first(links: dict, successors: Callable) -> Iterator:
+    """Visit the keys of ``links`` and every key reachable from them, first
+    in first out, yielding each key as it is visited; the caller may stop.
+
+    ``successors(key)`` yields ``(digit, next_key)`` pairs, digits
+    ascending.  A key met for the first time is entered in ``links`` as
+    ``next_key: (key, digit)``, so ``links`` lists the keys in discovery
+    order and ``word_to(links, key)`` is the least shortest word to ``key``
+    (shortest, then lexicographically least).  A start's link is None, or
+    ``(None, digit)`` for a start that stands for one digit read before the
+    walk.
+    """
+    queue = list(links)
+    for key in queue:  # breadth-first: the list grows while it is walked
+        yield key
+        for d, nxt in successors(key):
+            if nxt not in links:
+                links[nxt] = (key, d)
+                queue.append(nxt)
+
+
+def reach(starts: Iterable, successors: Callable) -> dict:
+    """Links of the complete walk from ``starts``: every reachable key."""
+    links = dict.fromkeys(starts)
+    for _ in breadth_first(links, successors):
+        pass
+    return links
+
+
+def word_to(links: dict, key) -> tuple[int, ...]:
+    """The digits along the links from a start of the walk to ``key``."""
+    word = []
+    link = links[key]
+    while link is not None:
+        key, d = link
+        word.append(d)
+        link = links.get(key)
+    return tuple(reversed(word))
+
+
+def determinize(start, successor_row: Callable, state_budget: float = math.inf,
+                what: str = "") -> tuple[list, tuple[tuple[int, ...], ...]]:
+    """Keys reachable from ``start`` in discovery order, and their transition
+    rows over those numbers; ``successor_row(key)`` lists the successor of
+    each digit.  Meeting more than ``state_budget`` keys raises
+    ``BudgetExceeded(what)``."""
+    targets = []  # the rows of successor keys, one after another
+
+    def successors(key):
+        row = successor_row(key)
+        targets.extend(row)
+        return enumerate(row)
+
+    links = {start: None}
+    for _ in breadth_first(links, successors):
+        if len(links) > state_budget:
+            raise BudgetExceeded(what)
+    index = dict(zip(links, range(len(links))))
+    numbers = map(index.__getitem__, targets)
+    base = len(targets) // len(links)
+    return list(links), tuple(zip(*[numbers] * base))  # rows of base numbers
 
 
 # ---------------------------------------------------------------------------
@@ -115,23 +179,7 @@ def is_zero_invariant(dfao: Dfao) -> bool:
             dfao.outputs[dfao.step(s, 0)] == dfao.outputs[s]
             for s in dfao.reachable_states()
         )
-    return _word_equivalent(dfao, dfao.initial, dfao.step(dfao.initial, 0))
-
-
-def _word_equivalent(dfao: Dfao, s1: int, s2: int) -> bool:
-    # BFS over state pairs; outputs must agree on every reachable pair
-    seen = {(s1, s2)}
-    stack = [(s1, s2)]
-    while stack:
-        a, b = stack.pop()
-        if dfao.outputs[a] != dfao.outputs[b]:
-            return False
-        for d in range(dfao.base):
-            p = (dfao.step(a, d), dfao.step(b, d))
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return True
+    return equivalent(dfao, replace(dfao, initial=dfao.step(dfao.initial, 0)))
 
 
 def verify_zero_invariance(dfao: Dfao, horizon: int) -> bool:
@@ -174,48 +222,29 @@ def minimize(dfao: Dfao) -> Dfao:
     """Myhill-Nerode-minimal automaton with identical eval; idempotent."""
     states = dfao.reachable_states()
     block = _moore_partition(dfao, states, lambda s: dfao.outputs[s])
-    n_blocks = len(set(block.values()))
-    # renumber so the initial block is 0 and the rest follow discovery order
-    order = [block[dfao.initial]]
-    seen = {block[dfao.initial]}
     rep = {}
     for s in states:
         rep.setdefault(block[s], s)
-    queue = [dfao.initial]
-    for s in queue:  # breadth-first: the list grows while it is walked
-        for d in range(dfao.base):
-            b = block[dfao.step(s, d)]
-            if b not in seen:
-                seen.add(b)
-                order.append(b)
-                queue.append(rep[b])
-    remap = {b: i for i, b in enumerate(order)}
-    transitions = []
-    outputs = []
-    for b in order:
-        s = rep[b]
-        transitions.append(tuple(remap[block[dfao.step(s, d)]] for d in range(dfao.base)))
-        outputs.append(dfao.outputs[s])
-    assert len(order) == n_blocks
-    return Dfao(dfao.base, tuple(transitions), tuple(outputs), 0, dfao.order)
+    # blocks numbered in discovery order, the initial block first
+    order, transitions = determinize(
+        block[dfao.initial],
+        lambda b: [block[t] for t in dfao.transitions[rep[b]]])
+    assert len(order) == len(rep)
+    outputs = tuple(dfao.outputs[rep[b]] for b in order)
+    return Dfao(dfao.base, transitions, outputs, 0, dfao.order)
 
 
-def equivalent(d1: Dfao, d2: Dfao, stop_at: int | None = None) -> bool:
-    """Exact eval-equality of two automata over the same base and order."""
+def equivalent(d1: Dfao, d2: Dfao) -> bool:
+    """Exact eval-equality of two automata over the same base and order:
+    outputs agree on every reachable state pair."""
     if d1.base != d2.base or d1.order != d2.order:
         raise ValueError("base/order mismatch")
-    seen = {(d1.initial, d2.initial)}
-    stack = [(d1.initial, d2.initial)]
-    while stack:
-        a, b = stack.pop()
-        if d1.outputs[a] != d2.outputs[b]:
-            return False
-        for d in range(d1.base):
-            p = (d1.step(a, d), d2.step(b, d))
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return True
+
+    def successors(pair):
+        return enumerate(zip(d1.transitions[pair[0]], d2.transitions[pair[1]]))
+
+    pairs = breadth_first({(d1.initial, d2.initial): None}, successors)
+    return all(d1.outputs[a] == d2.outputs[b] for a, b in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -231,28 +260,14 @@ def reverse_reading(dfao: Dfao, state_budget: int = 10**6) -> Dfao:
     minimization.  Requires the input to be leading-zero invariant so the
     result is too.
     """
-    n = dfao.n_states
-    h0 = tuple(dfao.outputs)
-    index = {h0: 0}
-    table = []
-    out = [h0[dfao.initial]]
-    queue = [h0]
-    for h in queue:  # breadth-first: the list grows while it is walked
-        row = []
-        for d in range(dfao.base):
-            h2 = tuple(h[dfao.step(s, d)] for s in range(n))
-            j = index.get(h2)
-            if j is None:
-                j = len(index)
-                if j >= state_budget:
-                    raise BudgetExceeded("reversal subset construction exceeded budget")
-                index[h2] = j
-                out.append(h2[dfao.initial])
-                queue.append(h2)
-            row.append(j)
-        table.append(tuple(row))
+    columns = tuple(zip(*dfao.transitions))  # columns[d][s] = step(s, d)
+    maps, table = determinize(
+        tuple(dfao.outputs),
+        lambda h: [tuple(map(h.__getitem__, col)) for col in columns],
+        state_budget, "reversal subset construction exceeded budget")
+    out = tuple(h[dfao.initial] for h in maps)
     order = ReadingOrder.LSD if dfao.order is ReadingOrder.MSD else ReadingOrder.MSD
-    rev = Dfao(dfao.base, tuple(table), tuple(out), 0, order)
+    rev = Dfao(dfao.base, table, out, 0, order)
     return minimize(rev)
 
 
@@ -296,24 +311,11 @@ def product(dfao1: Dfao, dfao2: Dfao, combiner: Callable) -> Dfao:
     """Reachable product automaton; eval = combiner(eval1, eval2) pointwise."""
     if dfao1.base != dfao2.base or dfao1.order != dfao2.order:
         raise ValueError("base/order mismatch")
-    start = (dfao1.initial, dfao2.initial)
-    index = {start: 0}
-    table = []
-    out = [combiner(dfao1.outputs[start[0]], dfao2.outputs[start[1]])]
-    queue = [start]
-    for a, b in queue:  # breadth-first: the list grows while it is walked
-        row = []
-        for d in range(dfao1.base):
-            p = (dfao1.step(a, d), dfao2.step(b, d))
-            j = index.get(p)
-            if j is None:
-                j = len(index)
-                index[p] = j
-                out.append(combiner(dfao1.outputs[p[0]], dfao2.outputs[p[1]]))
-                queue.append(p)
-            row.append(j)
-        table.append(tuple(row))
-    return Dfao(dfao1.base, tuple(table), tuple(out), 0, dfao1.order)
+    pairs, table = determinize(
+        (dfao1.initial, dfao2.initial),
+        lambda p: list(zip(dfao1.transitions[p[0]], dfao2.transitions[p[1]])))
+    out = tuple(combiner(dfao1.outputs[a], dfao2.outputs[b]) for a, b in pairs)
+    return Dfao(dfao1.base, table, out, 0, dfao1.order)
 
 
 def map_outputs(dfao: Dfao, f: Callable) -> Dfao:

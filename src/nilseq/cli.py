@@ -31,7 +31,7 @@ from .automaton import (
     reverse_reading,
     verify_zero_invariance,
 )
-from .digits import DigitWord, from_digits
+from .digits import DigitWord
 from .exactreal import (
     ExactReal,
     IntervalValue,
@@ -41,17 +41,13 @@ from .exactreal import (
     exact_enclosure,
 )
 from .genpoly import (
-    Seq,
+    CONST_NAMES,
     equidistribution_test,
     eval_gp,
-    kernel_census,
     parse_gp,
-    seq_from_dfao,
     set_compare,
-    weak_periodicity_search,
 )
 from .ipsets import (
-    FsCheck,
     IpGenerators,
     IpsFamily,
     contains_fs,
@@ -72,7 +68,6 @@ from .recurrence import (
     InvalidPisot,
     best_approximations,
     cubic_terms,
-    fibonacci_like_set,
     nearest_power_set_equiv,
     pisot_cubic_check,
     pisot_gp_set,
@@ -80,11 +75,12 @@ from .recurrence import (
     scan_quadratic_set,
 )
 from .sparsity import (
+    IpsWitness,
     classify,
-    enumerate_members,
     growth_census,
     ips_witness,
     normalize_arith_progression,
+    verify_ips,
     very_sparse_decomposition,
 )
 from . import fixtures
@@ -162,9 +158,8 @@ def _load_automaton(path: str) -> tuple[Dfao, str]:
 
 def _const_expr(text: str):
     text = text.strip()
-    named = {"pi": ExactReal.pi, "e": ExactReal.e, "phi": ExactReal.phi}
-    if text in named:
-        return named[text]()
+    if text in CONST_NAMES:
+        return CONST_NAMES[text]()
     if text.startswith("sqrt(") and text.endswith(")"):
         return ExactReal.sqrt(Fraction(text[5:-1]))
     return ExactReal.rational(Fraction(text))
@@ -405,8 +400,7 @@ def _cmd_ip(args, report: Report) -> None:
 def _cmd_orbit(args, report: Report) -> None:
     report.inputs_digest = _digest(str(vars(args)))
     if args.action == "skew":
-        coeffs = [_const_expr(c).exact() or _const_expr(c)
-                  for c in args.poly.split(",")]
+        coeffs = [_const_expr(c) for c in args.poly.split(",")]
         sys_ = TorusSkewSystem.from_poly(coeffs, args.m)
         pt = skew_orbit_point(sys_, None, args.n,
                               check_iterate_up_to=min(args.n, 1000))
@@ -419,8 +413,7 @@ def _cmd_orbit(args, report: Report) -> None:
     elif args.action == "heis":
         alpha = _const_expr(args.alpha)
         beta = _const_expr(args.beta)
-        f = heisenberg_fracpart(alpha.exact() or alpha, beta.exact() or beta,
-                                args.n)
+        f = heisenberg_fracpart(alpha, beta, args.n)
         report.results["fracpart"] = [
             _iv_json(exact_enclosure(x, 96)) if not isinstance(x, IntervalValue)
             else _iv_json(x) for x in f]
@@ -430,8 +423,7 @@ def _cmd_orbit(args, report: Report) -> None:
         eps = EpsilonSchedule.parse(args.eps)
         suffix = (DigitWord.parse(args.suffix, args.base)
                   if args.suffix else DigitWord(args.base, ()))
-        hit = suffix_hit_scan(alpha.exact() or alpha, beta.exact() or beta,
-                              eps, args.base, suffix, args.nmax)
+        hit = suffix_hit_scan(alpha, beta, eps, args.base, suffix, args.nmax)
         if hit is None:
             report.results["outcome"] = "exhausted"
         else:
@@ -446,9 +438,8 @@ def _cmd_orbit(args, report: Report) -> None:
     elif args.action == "probe":
         alpha = _const_expr(args.alpha)
         beta = _const_expr(args.beta)
-        rep = horizontal_character_probe(alpha.exact() or alpha,
-                                         beta.exact() or beta,
-                                         args.t, args.lbound, base=args.base)
+        rep = horizontal_character_probe(alpha, beta, args.t, args.lbound,
+                                         base=args.base)
         report.results["degenerate"] = rep.degenerate
         report.results["best"] = list(rep.best)
         if rep.value is not None:
@@ -524,22 +515,14 @@ def _verify_certificate(cert: dict) -> dict:
     try:
         if kind == "ips_witness":
             dfao = parse_automaton(cert["automaton"])
-            k = cert["base"]
-            l, m, p, r1, r2 = (cert[x] for x in ("l", "m", "p", "r1", "r2"))
-            horizon = min(int(cert.get("verified_horizon", 1000)), 10**4)
-            for n in range(horizon + 1):
-                v = dfao.eval(k**l * n + p)
-                if dfao.eval(k**m * n + r1) != v or dfao.eval(k**m * n + r2) != v:
-                    return {"type": kind, "ok": False, "detail": f"identity fails at n={n}"}
-            if dfao.eval(k**l * cert["n0"] + p) != 1:
-                return {"type": kind, "ok": False, "detail": "n0 not a member"}
-            gens = cert["generators"]
-            shifts = cert["shifts"]
-            depth = min(cert["verified_depth"], len(gens), len(shifts))
-            fam = IpsFamily(IpGenerators(tuple(gens[:depth])), tuple(shifts[:depth]))
-            for _, _, value in shifted_finite_sums(fam, depth):
-                if dfao.eval(value) != 1:
-                    return {"type": kind, "ok": False, "detail": f"{value} not a member"}
+            wit = IpsWitness(
+                *(cert[x] for x in ("base", "l", "m", "p", "r1", "r2", "n0")),
+                tuple(cert["generators"]), tuple(cert["shifts"]),
+                cert["verified_depth"], cert["verified_horizon"])
+            try:
+                verify_ips(wit, dfao.eval, wit.verified_depth)
+            except AssertionError as exc:
+                return {"type": kind, "ok": False, "detail": str(exc)}
             return {"type": kind, "ok": True}
         if kind == "pumping":
             dfao = parse_automaton(cert["automaton"])
@@ -574,8 +557,7 @@ def _verify_certificate(cert: dict) -> dict:
             if suffix and DigitWord.parse(suffix, base).value != n % base**len(
                     DigitWord.parse(suffix, base)):
                 return {"type": kind, "ok": False, "detail": "suffix mismatch"}
-            hit = suffix_hit_scan(alpha.exact() or alpha, beta.exact() or beta,
-                                  eps, base,
+            hit = suffix_hit_scan(alpha, beta, eps, base,
                                   DigitWord.parse(suffix, base) if suffix
                                   else DigitWord(base, ()), n)
             ok = hit is not None and hit.n == n

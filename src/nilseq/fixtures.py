@@ -10,7 +10,6 @@ from .automaton import (
     map_outputs,
     parity_acceptor,
     powers_acceptor,
-    thue_morse,
 )
 from .sparsity import decomposition_to_dfao, make_decomposition
 

@@ -15,7 +15,6 @@ case ``PrecisionExhausted`` is raised -- never a silent rounding.
 
 from __future__ import annotations
 
-import math
 import random
 import re
 from dataclasses import dataclass
@@ -547,7 +546,7 @@ def set_compare(pred1: Callable[[int], int], pred2: Callable[[int], int],
 
 _TOKEN = re.compile(r"\(|\)|[^\s()]+")
 
-_CONST_NAMES = {
+CONST_NAMES = {
     "pi": ExactReal.pi,
     "e": ExactReal.e,
     "phi": ExactReal.phi,
@@ -595,8 +594,8 @@ def parse_gp(text: str) -> GpExpr:
     def atom(tok: str) -> GpExpr:
         if tok == "n":
             return VAR
-        if tok in _CONST_NAMES:
-            return Const(_CONST_NAMES[tok]())
+        if tok in CONST_NAMES:
+            return Const(CONST_NAMES[tok]())
         try:
             return _as_expr(Fraction(tok))
         except ValueError:

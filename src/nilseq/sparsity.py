@@ -12,28 +12,24 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .automaton import (
     BudgetExceeded,
     Dfao,
     ReadingOrder,
+    breadth_first,
     count_accepted_below,
-    is_zero_invariant,
+    determinize,
     minimize,
     product,
+    reach,
     to_lsd,
     to_msd,
+    word_to,
 )
-from .digits import DigitWord, from_digits, to_digits, to_digits_lsd
-
-
-def _val_lsd(digits: Sequence[int], k: int) -> int:
-    v = 0
-    for i, d in enumerate(digits):
-        v += d * k**i
-    return v
+from .digits import from_digits, from_digits_lsd, to_digits
 
 
 # ---------------------------------------------------------------------------
@@ -44,19 +40,12 @@ def promising_states(dfao: Dfao) -> frozenset[int]:
     """States from which some word reaches an output-1 state (backward closure)."""
     if not dfao.is_binary():
         raise ValueError("promising states require {0,1} outputs")
-    rev: dict[int, set[int]] = {s: set() for s in range(dfao.n_states)}
+    rev: dict[int, list[tuple[int, int]]] = {s: [] for s in range(dfao.n_states)}
     for s in range(dfao.n_states):
-        for d in range(dfao.base):
-            rev[dfao.step(s, d)].add(s)
-    frontier = [s for s in range(dfao.n_states) if dfao.outputs[s] == 1]
-    seen = set(frontier)
-    while frontier:
-        s = frontier.pop()
-        for prev in rev[s]:
-            if prev not in seen:
-                seen.add(prev)
-                frontier.append(prev)
-    return frozenset(seen)
+        for d, t in dfao.successors(s):
+            rev[t].append((d, s))
+    accepting = [s for s in range(dfao.n_states) if dfao.outputs[s] == 1]
+    return frozenset(reach(accepting, rev.__getitem__))
 
 
 def _tarjan_scc(vertices: Sequence[int], succ: Callable[[int], Iterable[int]]):
@@ -392,57 +381,24 @@ def decomposition_to_dfao(decomp: VerySparseDecomposition,
                 cur = loop_start
         accepting.add(cur)
 
-    def eps_closure(states: frozenset[int]) -> frozenset[int]:
-        seen = set(states)
-        stack = list(states)
-        while stack:
-            s = stack.pop()
-            for t in eps[s]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return frozenset(seen)
+    def eps_closure(states: Iterable[int]) -> frozenset[int]:
+        return frozenset(reach(states, lambda s: enumerate(eps[s])))
 
-    init = eps_closure(frozenset(starts))
+    init = eps_closure(starts)
     # leading-zero semantics: accept 0^j x whenever some 0^i x is a pattern word
-    zclosure = set(init)
-    frontier = list(init)
-    while frontier:
-        s = frontier.pop()
-        for t in trans[s].get(0, []):
-            if t not in zclosure:
-                zclosure.add(t)
-                frontier.append(t)
+    zclosure = reach(init, lambda s: ((0, t) for t in trans[s].get(0, ())))
     pad = new_state()  # absorbs leading zeros
     trans[pad][0] = [pad]
     eps[pad].extend(sorted(zclosure))
-    init = eps_closure(frozenset([pad]))
 
-    # subset construction
-    index = {init: 0}
-    table: list[tuple[int, ...]] = []
-    outputs: list[int] = []
-    queue = [init]
-    while queue:
-        cur = queue.pop(0)
-        row = []
-        for d in range(k):
-            nxt = set()
-            for s in cur:
-                nxt.update(trans[s].get(d, []))
-            nxt = eps_closure(frozenset(nxt))
-            j = index.get(nxt)
-            if j is None:
-                j = len(index)
-                if j >= state_budget:
-                    raise BudgetExceeded("value-acceptor subset construction")
-                index[nxt] = j
-                queue.append(nxt)
-            row.append(j)
-        table.append(tuple(row))
-        outputs.append(1 if cur & accepting else 0)
-    dfa = Dfao(k, tuple(table), tuple(outputs), 0, ReadingOrder.MSD)
-    return minimize(dfa)
+    def successor_row(cur: frozenset[int]) -> list[frozenset[int]]:
+        return [eps_closure({t for s in cur for t in trans[s].get(d, ())})
+                for d in range(k)]
+
+    subsets, table = determinize(eps_closure([pad]), successor_row, state_budget,
+                                 "value-acceptor subset construction")
+    outputs = tuple(1 if cur & accepting else 0 for cur in subsets)
+    return minimize(Dfao(k, table, outputs, 0, ReadingOrder.MSD))
 
 
 # ---------------------------------------------------------------------------
@@ -470,35 +426,6 @@ class Classification:
         return self.variant == "very_sparse"
 
 
-def _bfs_word(dfao: Dfao, source: int, target: int,
-              allowed: Optional[frozenset[int]] = None) -> Optional[tuple[int, ...]]:
-    """Shortest word from source to target (restricted to allowed states)."""
-    if source == target:
-        return ()
-    prev: dict[int, tuple[int, int]] = {}
-    queue = [source]
-    seen = {source}
-    while queue:
-        s = queue.pop(0)
-        for d in range(dfao.base):
-            t = dfao.step(s, d)
-            if allowed is not None and t not in allowed:
-                continue
-            if t not in seen:
-                seen.add(t)
-                prev[t] = (s, d)
-                if t == target:
-                    word = []
-                    cur = t
-                    while cur != source:
-                        p, dd = prev[cur]
-                        word.append(dd)
-                        cur = p
-                    return tuple(reversed(word))
-                queue.append(t)
-    return None
-
-
 def classify(dfao: Dfao, state_budget: int = 10**6) -> Classification:
     """The structure dichotomy for the set {n : eval(n) = 1}.
 
@@ -519,11 +446,13 @@ def classify(dfao: Dfao, state_budget: int = 10**6) -> Classification:
     for s in sorted(graph.vertices):
         if len(intra[s]) >= 2:
             comp = frozenset(graph.comps[graph.comp_of[s]])
+
+            def inside(v):
+                return ((d, t) for d, t in lsd.successors(v) if t in comp)
+
             (d1, t1), (d2, t2) = intra[s][0], intra[s][1]
-            back1 = _bfs_word(lsd, t1, s, comp)
-            back2 = _bfs_word(lsd, t2, s, comp)
-            c1 = (d1,) + back1
-            c2 = (d2,) + back2
+            c1 = (d1,) + word_to(reach([t1], inside), s)
+            c2 = (d2,) + word_to(reach([t2], inside), s)
             v1 = c1 * len(c2)
             v2 = c2 * len(c1)
             assert len(v1) == len(v2) and v1 != v2
@@ -668,29 +597,27 @@ def ips_witness(dfao: Dfao, horizon: int = 10**5, depth: int = 10) -> IpsWitness
         raise ValueError("ips witness requires the branching classification")
     lsd, wit = cls.lsd, cls.witness
     k = lsd.base
-    entry = _bfs_word(lsd, lsd.initial, wit.state)
-    if entry is None:
+    from_initial = reach([lsd.initial], lsd.successors)
+    if wit.state not in from_initial:
         raise AssertionError("witness state unreachable; classification bug")
+    entry = word_to(from_initial, wit.state)
     l = len(entry)
     d_len = len(wit.v1)
     m = l + d_len
-    p = _val_lsd(entry, k)
-    s1 = _val_lsd(wit.v1, k)
-    s2 = _val_lsd(wit.v2, k)
+    p = from_digits_lsd(entry, k)
+    s1 = from_digits_lsd(wit.v1, k)
+    s2 = from_digits_lsd(wit.v2, k)
     if s1 > s2:
         s1, s2 = s2, s1
     r1 = p + k**l * s1
     r2 = p + k**l * s2
-    # smallest n0 with a(k^l n0 + p) = 1
-    accept_word = None
-    for target in range(lsd.n_states):
-        if lsd.outputs[target] == 1:
-            w = _bfs_word(lsd, wit.state, target)
-            if w is not None and (accept_word is None or len(w) < len(accept_word)):
-                accept_word = w
-    if accept_word is None:
+    # n0 from the shortest word to an accepting state, the lowest on ties
+    from_state = reach([wit.state], lsd.successors)
+    accept_words = [word_to(from_state, t) for t in sorted(from_state)
+                    if lsd.outputs[t] == 1]
+    if not accept_words:
         raise AssertionError("promising witness state cannot accept")
-    n0 = _val_lsd(accept_word, k)
+    n0 = from_digits_lsd(min(accept_words, key=len), k)
     gens = tuple(k**l * (s2 - s1) * k**((i - 1) * d_len)
                  for i in range(1, depth + 1))
     shifts = []
@@ -699,11 +626,14 @@ def ips_witness(dfao: Dfao, horizon: int = 10**5, depth: int = 10) -> IpsWitness
         shifts.append(k**l * (k**(t * d_len) * n0 + s1 * geom_sum) + p)
     witness = IpsWitness(k, l, m, p, r1, r2, n0, gens, tuple(shifts),
                          depth, horizon)
-    _verify_ips(witness, lsd.eval, depth)
+    verify_ips(witness, lsd.eval, depth)
     return witness
 
 
-def _verify_ips(w: IpsWitness, a: Callable[[int], int], depth: int):
+def verify_ips(w: IpsWitness, a: Callable[[int], int], depth: int):
+    """Replay every claim of ``w`` on the sequence ``a``: the identities for
+    n <= verified_horizon, n0, and the shifted finite sums up to ``depth``;
+    raises AssertionError at the first that fails."""
     k = w.base
     for n in range(w.verified_horizon + 1):
         v0 = a(k**w.l * n + w.p)
@@ -814,43 +744,27 @@ def factor_universality_report(dfao: Dfao, subset_budget: int = 1 << 20
     promising = promising_states(msd)
     k = msd.base
     # states reachable via a nonempty canonical prefix (first digit nonzero)
-    frontier = [msd.step(msd.initial, d) for d in range(1, k)]
-    prefix_reachable = set(frontier)
-    while frontier:
-        s = frontier.pop()
-        for d in range(k):
-            t = msd.step(s, d)
-            if t not in prefix_reachable:
-                prefix_reachable.add(t)
-                frontier.append(t)
-
-    full = frozenset(prefix_reachable | {msd.initial})
-    bare = frozenset(prefix_reachable)
+    bare = frozenset(reach([msd.step(msd.initial, d) for d in range(1, k)],
+                           msd.successors))
+    full = bare | {msd.initial}
     if not full & promising:
         return FactorUniversality(False, ())
 
     def image(subset: frozenset[int], d: int) -> frozenset[int]:
         return frozenset(msd.step(s, d) for s in subset)
 
-    seen: dict[frozenset[int], tuple] = {}
-    queue = []
+    def successors(subset: frozenset[int]):
+        return ((d, image(subset, d)) for d in range(k))
+
+    # each start subset stands for the first digit of the factor
+    links: dict = {}
     for d in range(k):
-        start = image(full if d != 0 else bare, d)
-        if start not in seen:
-            seen[start] = ((d,),)
-            queue.append(start)
-    while queue:
-        cur = queue.pop(0)
-        word = seen[cur][0]
+        links.setdefault(image(full if d != 0 else bare, d), (None, d))
+    for cur in breadth_first(links, successors):
         if not cur & promising:
-            return FactorUniversality(False, word)
-        if len(seen) > subset_budget:
+            return FactorUniversality(False, word_to(links, cur))
+        if len(links) > subset_budget:
             raise BudgetExceeded("factor-closure subset construction")
-        for d in range(k):
-            nxt = image(cur, d)
-            if nxt not in seen:
-                seen[nxt] = (word + (d,),)
-                queue.append(nxt)
     return FactorUniversality(True, None)
 
 
@@ -879,7 +793,8 @@ def ip_plus_witness(dfao: Dfao, depth: int = 10) -> IpPlusWitness:
             f"hypothesis fails: word {report.missing_factor} is never a factor")
     lsd = to_lsd(dfao)
     k = lsd.base
-    reachable = lsd.reachable_states()
+    from_initial = reach([lsd.initial], lsd.successors)
+    reachable = sorted(from_initial)
     stages = []
     for s in reachable:
         if lsd.outputs[s] != 1:
@@ -896,16 +811,11 @@ def ip_plus_witness(dfao: Dfao, depth: int = 10) -> IpPlusWitness:
             chain.append(nxt)
         p_steps = cycle * max(1, -(-max(tail, 1) // cycle))  # lcm-ish multiple >= tail
         s_prime = chain[tail + ((p_steps - tail) % cycle)]
-        # word from s' back to s whose final digit is nonzero
-        w = None
-        for x in reachable:
-            for d in range(1, k):
-                if lsd.step(x, d) == s:
-                    path = _bfs_word(lsd, s_prime, x)
-                    if path is not None:
-                        cand = path + (d,)
-                        if w is None or len(cand) < len(w):
-                            w = cand
+        # shortest word from s' back to s whose final digit is nonzero
+        from_prime = reach([s_prime], lsd.successors)
+        w = min((word_to(from_prime, x) + (d,) for x in reachable
+                 if x in from_prime for d in range(1, k) if lsd.step(x, d) == s),
+                key=len, default=None)
         if w is None:
             stages.append((s, "no return word with nonzero final digit"))
             continue
@@ -916,16 +826,12 @@ def ip_plus_witness(dfao: Dfao, depth: int = 10) -> IpPlusWitness:
                 and lsd.run(s_prime, u) == s_prime and lsd.run(s_prime, v) == s):
             stages.append((s, "diagram check failed"))
             continue
-        m_value = _val_lsd(v, k)
-        entry = None
-        for c_word in _short_words_to(lsd, s):
-            if c_word == () or c_word[-1] != 0:
-                entry = c_word
-                break
+        m_value = from_digits_lsd(v, k)
+        entry = _entry_word(lsd, from_initial, s)
         if entry is None:
             stages.append((s, "no canonical entry word"))
             continue
-        n0 = _val_lsd(entry, k)
+        n0 = from_digits_lsd(entry, k)
         h = len(to_digits(n0, k))
         gens = tuple(m_value * k**(l * (i - 1) + h) for i in range(1, depth + 1))
         witness = IpPlusWitness(k, n0, m_value, l, h, s, s_prime, gens, depth)
@@ -934,26 +840,18 @@ def ip_plus_witness(dfao: Dfao, depth: int = 10) -> IpPlusWitness:
     raise BudgetExceeded(f"diagram search exhausted; stages: {stages}")
 
 
-def _short_words_to(lsd: Dfao, target: int):
-    """Words from the initial state to target, shortest first (BFS, all paths
-    up to a modest budget)."""
-    out = []
-    if lsd.initial == target:
-        out.append(())
-    queue = [(lsd.initial, ())]
-    seen_words = 0
-    while queue and seen_words < 4096:
-        s, word = queue.pop(0)
-        if len(word) > 2 * lsd.n_states + 2:
-            continue
-        for d in range(lsd.base):
-            t = lsd.step(s, d)
-            w2 = word + (d,)
-            if t == target:
-                out.append(w2)
-                seen_words += 1
-            queue.append((t, w2))
-    return out
+def _entry_word(lsd: Dfao, from_initial: dict, target: int
+                ) -> Optional[tuple[int, ...]]:
+    """Least shortest canonical LSD word from the initial state to target:
+    empty, or ending in a nonzero digit.  ``from_initial`` holds the links of
+    the walk from the initial state; the word is the least shortest word to
+    a predecessor x followed by a digit d != 0, so its length is at most the
+    number of states."""
+    if target == lsd.initial:
+        return ()
+    words = [word_to(from_initial, x) + (d,) for x in from_initial
+             for d in range(1, lsd.base) if lsd.step(x, d) == target]
+    return min(words, key=lambda w: (len(w), w), default=None)
 
 
 def _verify_ip_plus(w: IpPlusWitness, a: Callable[[int], int], depth: int):

@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from nilseq.automaton import format_automaton, powers_acceptor, thue_morse
+from nilseq.automaton import (
+    Dfao,
+    ReadingOrder,
+    format_automaton,
+    powers_acceptor,
+    product,
+    thue_morse,
+)
 from nilseq.cli import run
 from nilseq.fixtures import eleven_free_acceptor
 
@@ -92,6 +99,40 @@ def test_tampered_report_fails_verification(files, tmp_path):
     path.write_text(json.dumps(rep))
     code2, rep2 = invoke(["verify", "--report", str(path)])
     assert rep2["results"]["verified"] is False
+
+
+def test_ips_verify_covers_the_claimed_horizon(files, tmp_path):
+    # cut the eleven-free acceptor to expansions of at most K digits: the
+    # identities a(2^l n + p) = a(2^m n + r) then first break near
+    # n = 2^(K - m) = 16384, past 10^4 but within the claimed horizon
+    code, rep = invoke(["sparsity", "ips", "--file", str(files / "free11.aut"),
+                        "--horizon", "200"])
+    assert code == 0
+    cert = rep["certificates"][0]
+    l, m, p, r1, r2 = (cert[x] for x in ("l", "m", "p", "r1", "r2"))
+    digits = m + 14
+    upto_k = Dfao(2, ((0, 1),) + tuple((i + 1, i + 1) for i in range(1, digits + 1))
+                  + ((digits + 1, digits + 1),),
+                  (1,) * (digits + 1) + (0,), 0, ReadingOrder.MSD)
+    cut = product(eleven_free_acceptor(), upto_k, lambda x, y: x & y)
+    assert all(cut.eval(n) == (n < 2**digits and eleven_free_acceptor().eval(n))
+               for n in range(2**digits - 64, 2**digits + 64))
+    first_break = next(n for n in range(10**5)
+                       if not cut.eval(2**l * n + p) == cut.eval(2**m * n + r1)
+                       == cut.eval(2**m * n + r2))
+    assert 10**4 < first_break <= 2 * 10**4
+    cert["automaton"] = format_automaton(cut)
+    cert["verified_horizon"] = 2 * 10**4
+    while max(cert["shifts"][:cert["verified_depth"]]) + sum(
+            cert["generators"][:cert["verified_depth"]]) >= 2**digits:
+        cert["verified_depth"] -= 1
+    assert cert["verified_depth"] >= 2
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps(rep))
+    code2, rep2 = invoke(["verify", "--report", str(path)])
+    assert code2 == 0 and rep2["results"]["verified"] is False
+    assert rep2["results"]["outcomes"][0]["detail"] == (
+        f"ips identity failed at n={first_break}")
 
 
 def test_determinism(files):

@@ -1,0 +1,33 @@
+"""Static checks on the source tree (the repository has no linter step)."""
+
+import ast
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+MODULES = sorted(p for p in (ROOT / "src" / "nilseq").glob("*.py")
+                 if p.name != "__init__.py") + sorted((ROOT / "scripts").glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import statement and never read in the module."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names if a.name != "*")
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_unused_imports_are_found():
+    source = "import os, re.sub\nfrom a import b as c, d\nos.x(d)\n"
+    assert unused_imports(source) == ["c", "re"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

@@ -2,19 +2,25 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilseq.automaton import (
+    Dfao,
+    ReadingOrder,
     base_power,
     constant,
     count_accepted_below,
     equivalent,
+    from_prohibited_patterns,
     is_zero_invariant,
     map_outputs,
     minimize,
     parity_acceptor,
     powers_acceptor,
     product,
+    reach,
     to_msd,
+    word_to,
 )
 from nilseq.fixtures import (
     contains_101_acceptor,
@@ -27,6 +33,8 @@ from nilseq.fixtures import (
 from nilseq.ipsets import IpGenerators, finite_sums
 from nilseq.sparsity import (
     BasicPattern,
+    _entry_word,
+    _verify_ip_plus,
     classify,
     decomposition_to_dfao,
     enumerate_members,
@@ -282,6 +290,15 @@ def test_ip_plus_witness_constant_one(const1):
                for v in finite_sums(IpGenerators(w.generators), 10))
 
 
+def test_ip_plus_witness_long_pattern_is_fast(wall_clock_limit):
+    # 11 LSD states; enumerating entry words instead of states took 10 s here
+    dfao = map_outputs(from_prohibited_patterns(2, [(1, 0, 1, 1, 0, 1, 1, 1, 0, 1)]),
+                       lambda o: 1 - o)
+    with wall_clock_limit(2):
+        w = ip_plus_witness(dfao, depth=10)
+    _verify_ip_plus(w, dfao.eval, 10)
+
+
 def test_ip_plus_rejects_baum_sweet(bs):
     with pytest.raises(ValueError):
         ip_plus_witness(bs)
@@ -352,3 +369,91 @@ def test_powers_reduction_demo():
 
     rep2 = powers_reduction_demo(RANK2, horizon=1 << 40)
     assert rep2.ok
+
+
+# --- breadth-first walk against the word searches it replaced -----------------
+
+
+def reference_bfs_word(dfao, source, target, allowed=None):
+    """Shortest word from source to target (restricted to allowed states)."""
+    if source == target:
+        return ()
+    prev = {}
+    queue = [source]
+    seen = {source}
+    while queue:
+        s = queue.pop(0)
+        for d in range(dfao.base):
+            t = dfao.step(s, d)
+            if allowed is not None and t not in allowed:
+                continue
+            if t not in seen:
+                seen.add(t)
+                prev[t] = (s, d)
+                if t == target:
+                    word = []
+                    cur = t
+                    while cur != source:
+                        p, dd = prev[cur]
+                        word.append(dd)
+                        cur = p
+                    return tuple(reversed(word))
+                queue.append(t)
+    return None
+
+
+def reference_short_words_to(lsd, target):
+    """Words from the initial state to target, shortest first, every path
+    up to 4096 hits or length 2n + 3."""
+    out = []
+    if lsd.initial == target:
+        out.append(())
+    queue = [(lsd.initial, ())]
+    seen_words = 0
+    while queue and seen_words < 4096:
+        s, word = queue.pop(0)
+        if len(word) > 2 * lsd.n_states + 2:
+            continue
+        for d in range(lsd.base):
+            t = lsd.step(s, d)
+            w2 = word + (d,)
+            if t == target:
+                out.append(w2)
+                seen_words += 1
+            queue.append((t, w2))
+    return out
+
+
+@st.composite
+def small_automaton(draw):
+    base = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 5 if base == 2 else 3))
+    rows = tuple(tuple(draw(st.integers(0, n - 1)) for _ in range(base))
+                 for _ in range(n))
+    allowed = frozenset(draw(st.sets(st.integers(0, n - 1))))
+    return Dfao(base, rows, (0,) * n, draw(st.integers(0, n - 1)),
+                ReadingOrder.LSD), allowed
+
+
+@given(small_automaton())
+@settings(max_examples=300, deadline=None)
+def test_walk_words_match_reference_searches(case):
+    dfao, allowed = case
+    states = range(dfao.n_states)
+
+    def inside(v):
+        return ((d, t) for d, t in dfao.successors(v) if t in allowed)
+
+    for source in states:
+        links = reach([source], dfao.successors)
+        inner = reach([source], inside)
+        for target in states:
+            assert (word_to(links, target) if target in links else None) == \
+                reference_bfs_word(dfao, source, target)
+            assert (word_to(inner, target) if target in inner else None) == \
+                reference_bfs_word(dfao, source, target, allowed)
+    from_initial = reach([dfao.initial], dfao.successors)
+    for target in from_initial:
+        want = next((w for w in reference_short_words_to(dfao, target)
+                     if w == () or w[-1] != 0), None)
+        assert _entry_word(dfao, from_initial, target) == want
