@@ -2,12 +2,15 @@
 
 Two layers cooperate here:
 
-* exact field elements (rationals, quadratic surds a + b*sqrt(d), rational
+* exact field elements: rationals, quadratic surds a + b*sqrt(d), rational
   combinations of distinct surds, and elements of a fixed cubic number
-  field), with exact arithmetic, sign, and floor -- the fast path that
-  decides integer-part operations exactly (a surd sum with surviving surd
-  terms, or a cubic element outside Q, is irrational, so refining its
-  enclosure always settles its floor and sign);
+  field.  Surds and cubics alike are integer numerators over one positive
+  denominator, and every sign, floor and enclosure of them comes from
+  integer bounds: one isqrt for a quadratic surd, isqrt bounds of each
+  sqrt(d) at scale 2^-bits for a surd sum, and the field's integer bounds
+  of beta and beta^2 for a cubic.  A surd sum with surviving surd terms,
+  or a cubic element outside Q, is irrational, so refining its bounds
+  always settles its floor and sign;
 
 * ``IntervalValue`` enclosures with dyadic endpoints for everything else
   (pi, e, roots of higher degree, mixed-field products), refinable to any
@@ -132,20 +135,6 @@ def _sqrt_frac_above(x: Fraction, bits: int) -> Fraction:
     return Fraction(r, q << bits)
 
 
-def _cmp_surd(r: Fraction, d: int, c: Fraction) -> int:
-    """Exact sign of r*sqrt(d) - c for rational r, c and integer d >= 0."""
-    if r == 0 or d == 0:
-        return -1 if c > 0 else (1 if c < 0 else 0)
-    if r > 0:
-        if c < 0:
-            return 1
-        if c == 0:
-            return 1
-        lhs, rhs = r * r * d, c * c
-        return (lhs > rhs) - (lhs < rhs)
-    return -_cmp_surd(-r, d, -c)
-
-
 _TRIAL_BOUND = 1 << 16
 
 
@@ -264,30 +253,78 @@ class IntervalValue:
 # quadratic surds and surd sums
 
 
-@dataclass(frozen=True)
-class QuadElem:
-    """a + b*sqrt(d) with rational a, b != 0 and squarefree d >= 2."""
-
-    a: Fraction
-    b: Fraction
-    d: int
-
-
-@dataclass(frozen=True)
 class SurdSum:
-    """rat + sum coeff_i * sqrt(d_i) over distinct squarefree d_i >= 2.
+    """(n0 + sum c_i * sqrt(d_i)) / den over distinct squarefree d_i >= 2:
+    integer numerators over one positive denominator, each c_i != 0, the d_i
+    ascending in ``surds`` = ((c_i, d_i), ...), and gcd(n0, c_i, den) = 1.
 
     Closed under ring operations (sqrt(d) * sqrt(d') folds into
-    sqrt(squarefree part of d d')); sign and floor are exact because 1 and
-    the sqrt(d_i) are linearly independent over Q, so an element with any
-    surviving surd term is irrational.
+    sqrt(squarefree part of d d')).  1 and the sqrt(d_i) are linearly
+    independent over Q, so every SurdSum is irrational, and its sign, floor
+    and enclosures come from integer isqrt bounds that always settle.  The
+    ``exact_*`` operations return a Fraction, a ``QuadElem`` or a SurdSum of
+    two or more terms by the number of surviving terms.
     """
 
-    rat: Fraction
-    terms: tuple[tuple[Fraction, int], ...]  # (coeff, d), d ascending
+    __slots__ = ("n0", "surds", "den")
+
+    def __init__(self, n0: int, surds: tuple[tuple[int, int], ...], den: int):
+        self.n0, self.surds, self.den = n0, surds, den
+
+    @property
+    def rat(self) -> Fraction:
+        """The rational part."""
+        return Fraction(self.n0, self.den)
+
+    @property
+    def terms(self) -> tuple[tuple[Fraction, int], ...]:
+        """The (coefficient, d) pairs, d ascending."""
+        return tuple((Fraction(c, self.den), d) for c, d in self.surds)
+
+    def __eq__(self, other):
+        return (isinstance(other, SurdSum)
+                and (self.n0, self.surds, self.den)
+                == (other.n0, other.surds, other.den))
+
+    def __hash__(self):
+        return hash((self.n0, self.surds, self.den))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.n0}, {self.surds}, den={self.den})"
 
 
-Exact = Union[Fraction, QuadElem, SurdSum, "CubicElem"]
+class QuadElem(SurdSum):
+    """a + b*sqrt(d) with rational a, b != 0 and squarefree d >= 2: the
+    one-term SurdSum (n0 + c*sqrt(d)) / den, whose floor is one isqrt and
+    whose sign is one comparison of n0^2 with c^2 d."""
+
+    __slots__ = ()
+
+    a = SurdSum.rat
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.surds[0][0], self.den)
+
+    @property
+    def d(self) -> int:
+        return self.surds[0][1]
+
+
+Exact = Union[Fraction, SurdSum, "CubicElem"]
+
+
+def _surd(n0: int, coeffs: dict[int, int], den: int) -> Exact:
+    """(n0 + sum c * sqrt(d)) / den from {d: c} with den > 0, normalised:
+    zero terms dropped, the gcd divided out."""
+    surds = tuple((coeffs[d], d) for d in sorted(coeffs) if coeffs[d])
+    if not surds:
+        return Fraction(n0, den)
+    g = math.gcd(n0, den, *(c for c, _ in surds))
+    if g > 1:
+        n0, den = n0 // g, den // g
+        surds = tuple((c // g, d) for c, d in surds)
+    return (QuadElem if len(surds) == 1 else SurdSum)(n0, surds, den)
 
 
 def make_quad(a, b, d: int) -> Exact:
@@ -298,97 +335,74 @@ def make_quad(a, b, d: int) -> Exact:
     s, m = _squarefree(d)
     if m == 1:
         return a + b * s
-    return QuadElem(a, b * s, m)
+    den = math.lcm(a.denominator, b.denominator)
+    return _surd(a.numerator * (den // a.denominator),
+                 {m: b.numerator * s * (den // b.denominator)}, den)
+
+
+def _surd_parts(x: Union[Fraction, SurdSum]) -> tuple[int, tuple, int]:
+    if isinstance(x, Fraction):
+        return x.numerator, (), x.denominator
+    return x.n0, x.surds, x.den
+
+
+def _surd_add(x: Union[Fraction, SurdSum], y: Union[Fraction, SurdSum]) -> Exact:
+    xn, xs, xd = _surd_parts(x)
+    yn, ys, yd = _surd_parts(y)
+    coeffs = {d: c * yd for c, d in xs}
+    for c, d in ys:
+        coeffs[d] = coeffs.get(d, 0) + c * xd
+    return _surd(xn * yd + yn * xd, coeffs, xd * yd)
+
+
+def _surd_mul(x: Union[Fraction, SurdSum], y: Union[Fraction, SurdSum]) -> Exact:
+    xn, xs, xd = _surd_parts(x)
+    yn, ys, yd = _surd_parts(y)
+    rat = xn * yn
+    coeffs = {d: c * yn for c, d in xs}
+    for c, d in ys:
+        coeffs[d] = coeffs.get(d, 0) + c * xn
+    for cx, dx in xs:
+        for cy, dy in ys:
+            # dx, dy squarefree: sqrt(dx dy) = g sqrt((dx/g)(dy/g)), g = gcd
+            g = math.gcd(dx, dy)
+            d = (dx // g) * (dy // g)
+            if d == 1:
+                rat += cx * cy * g
+            else:
+                coeffs[d] = coeffs.get(d, 0) + cx * cy * g
+    return _surd(rat, coeffs, xd * yd)
 
 
 def _quad_floor(x: QuadElem) -> int:
-    a, b, d = x.a, x.b, x.d
-    q = math.lcm(a.denominator, b.denominator)
-    big_p = a.numerator * (q // a.denominator)
-    big_r = b.numerator * (q // b.denominator)
-    # x = (big_p + big_r * sqrt(d)) / q
-    if big_r >= 0:
-        t = math.isqrt(big_r * big_r * d)
-    else:
-        s = big_r * big_r * d
-        r0 = math.isqrt(s)
-        t = -(r0 if r0 * r0 == s else r0 + 1)
-    m = (big_p + t) // q
-    while _cmp_surd(Fraction(big_r), d, Fraction(q * (m + 1) - big_p)) >= 0:
-        m += 1
-    while _cmp_surd(Fraction(big_r), d, Fraction(q * m - big_p)) < 0:
-        m -= 1
-    return m
+    """floor((n0 + r sqrt(d)) / den) = (n0 + floor(r sqrt(d))) // den, as
+    floor(y / q) = floor(floor(y) / q) for an integer q > 0; r^2 d is not
+    a square, so floor(r sqrt(d)) is one isqrt."""
+    (r, d), = x.surds
+    t = math.isqrt(r * r * d)
+    return (x.n0 + (t if r > 0 else -t - 1)) // x.den
 
 
-def _sqrt_int_enclosure(d: int, bits: int) -> IntervalValue:
-    lo = Fraction(math.isqrt(d << (2 * bits)), 1 << bits)
-    hi = Fraction(math.isqrt(d << (2 * bits)) + 1, 1 << bits)
-    return IntervalValue(lo, hi, bits)
+def _quad_sign(x: QuadElem) -> int:
+    """Sign of n0 + r sqrt(d): that of r unless n0 has the other sign and
+    the larger square (n0^2 != r^2 d, as d is squarefree)."""
+    (r, d), = x.surds
+    p = x.n0
+    sign = 1 if r > 0 else -1
+    return sign if p * r >= 0 or r * r * d > p * p else -sign
 
 
-def _quad_enclosure(x: QuadElem, bits: int) -> IntervalValue:
-    root = _sqrt_int_enclosure(x.d, bits)
-    return IntervalValue.exactly(x.a, bits) + IntervalValue.exactly(x.b, bits) * root
-
-
-def _surdsum_of(x: Exact) -> Optional[SurdSum]:
-    if isinstance(x, Fraction):
-        return SurdSum(x, ())
-    if isinstance(x, QuadElem):
-        return SurdSum(x.a, ((x.b, x.d),))
-    if isinstance(x, SurdSum):
-        return x
-    return None
-
-
-def _surdsum_collapse(x: SurdSum) -> Exact:
-    terms = tuple((c, d) for c, d in x.terms if c != 0)
-    if not terms:
-        return x.rat
-    if len(terms) == 1:
-        (c, d), = terms
-        return QuadElem(x.rat, c, d)
-    return SurdSum(x.rat, terms)
-
-
-def _surdsum_add(x: SurdSum, y: SurdSum) -> Exact:
-    coeffs: dict[int, Fraction] = {d: c for c, d in x.terms}
-    for c, d in y.terms:
-        coeffs[d] = coeffs.get(d, Fraction(0)) + c
-    terms = tuple((coeffs[d], d) for d in sorted(coeffs))
-    return _surdsum_collapse(SurdSum(x.rat + y.rat, terms))
-
-
-def _surdsum_mul(x: SurdSum, y: SurdSum) -> Exact:
-    rat = x.rat * y.rat
-    coeffs: dict[int, Fraction] = {}
-
-    def put(c: Fraction, d: int):
-        nonlocal rat
-        if d == 1:
-            rat += c
+def _surd_bounds(x: SurdSum, bits: int) -> tuple[int, int, int]:
+    """Integers lo, hi, scale with lo/scale <= x <= hi/scale, from
+    isqrt(d 4^bits) <= sqrt(d) 2^bits < isqrt(d 4^bits) + 1."""
+    lo = hi = x.n0 << bits
+    for c, d in x.surds:
+        s = math.isqrt(d << (2 * bits))
+        if c > 0:
+            lo, hi = lo + c * s, hi + c * (s + 1)
         else:
-            coeffs[d] = coeffs.get(d, Fraction(0)) + c
-
-    for c, d in x.terms:
-        put(c * y.rat, d)
-    for c, d in y.terms:
-        put(c * x.rat, d)
-    for cx, dx in x.terms:
-        for cy, dy in y.terms:
-            # dx, dy squarefree: sqrt(dx dy) = g sqrt((dx/g)(dy/g)), g = gcd
-            g = math.gcd(dx, dy)
-            put(cx * cy * g, (dx // g) * (dy // g))
-    terms = tuple((coeffs[d], d) for d in sorted(coeffs))
-    return _surdsum_collapse(SurdSum(rat, terms))
-
-
-def _surdsum_enclosure(x: SurdSum, bits: int) -> IntervalValue:
-    acc = IntervalValue.exactly(x.rat, bits)
-    for c, d in x.terms:
-        acc = acc + IntervalValue.exactly(c, bits) * _sqrt_int_enclosure(d, bits)
-    return acc
+            lo, hi = lo + c * (s + 1), hi + c * s
+    return lo, hi, x.den << bits
 
 
 # ---------------------------------------------------------------------------
@@ -631,21 +645,10 @@ def _cubic_bounds(x: CubicElem, bits: int) -> tuple[int, int, int]:
     return lo, hi, one * x.den
 
 
-def _cubic_enclosure(x: CubicElem, bits: int) -> IntervalValue:
-    lo, hi, scale = _cubic_bounds(x, bits)
-    return IntervalValue(Fraction(lo, scale), Fraction(hi, scale), bits)
-
-
-def _cubic_decide(x: CubicElem, read: Callable[[int, int, int], int]) -> int:
-    """read(lo, hi, scale) of x's bounds on the ladder; x is irrational, so
-    the floor or sign settles."""
-    return decide(lambda bits: read(*_cubic_bounds(x, bits)), x.field.policy)
-
-
 def _floor_of_bounds(lo: int, hi: int, scale: int) -> int:
     f = lo // scale
     if f != hi // scale:
-        raise NeedsMoreBits("cubic floor unresolved", detail=(lo, hi, scale))
+        raise NeedsMoreBits("floor unresolved", detail=(lo, hi, scale))
     return f
 
 
@@ -654,13 +657,24 @@ def _sign_of_bounds(lo: int, hi: int, scale: int) -> int:
         return 1
     if hi < 0:
         return -1
-    raise NeedsMoreBits("cubic sign unresolved", detail=(lo, hi, scale))
+    raise NeedsMoreBits("sign unresolved", detail=(lo, hi, scale))
 
 
-def _refine(x: SurdSum, read: Callable[[Value], int]) -> int:
-    """read(enclosure of x) on the surd layer's ladder, which starts at 32
-    bits; x is irrational, so the floor or sign settles."""
-    return decide(lambda bits: read(exact_enclosure(x, bits)), default_policy(32))
+def _bounds(x: Union[SurdSum, CubicElem], bits: int) -> tuple[int, int, int]:
+    if isinstance(x, SurdSum):
+        return _surd_bounds(x, bits)
+    if isinstance(x, CubicElem):
+        return _cubic_bounds(x, bits)
+    raise TypeError(type(x))
+
+
+def _decide_bounds(x: Union[SurdSum, CubicElem],
+                   read: Callable[[int, int, int], int]) -> int:
+    """read(lo, hi, scale) of x's bounds on the ladder, which starts at 32
+    bits for a surd sum and follows the field's policy for a cubic; x is
+    irrational, so the floor or sign settles."""
+    policy = x.field.policy if isinstance(x, CubicElem) else default_policy(32)
+    return decide(lambda bits: read(*_bounds(x, bits)), policy)
 
 
 # ---------------------------------------------------------------------------
@@ -679,19 +693,16 @@ def exact_add(x: Exact, y: Exact) -> Optional[Exact]:
                 and x.field == y.field):
             return _cubic_add(x, y)
         return None
-    sx, sy = _surdsum_of(x), _surdsum_of(y)
-    if sx is not None and sy is not None:
-        return _surdsum_add(sx, sy)
+    if isinstance(x, (Fraction, SurdSum)) and isinstance(y, (Fraction, SurdSum)):
+        return _surd_add(x, y)
     return None
 
 
 def exact_neg(x: Exact) -> Exact:
     if isinstance(x, Fraction):
         return -x
-    if isinstance(x, QuadElem):
-        return QuadElem(-x.a, -x.b, x.d)
     if isinstance(x, SurdSum):
-        return SurdSum(-x.rat, tuple((-c, d) for c, d in x.terms))
+        return type(x)(-x.n0, tuple((-c, d) for c, d in x.surds), x.den)
     if isinstance(x, CubicElem):
         return CubicElem(x.field, -x.n0, -x.n1, -x.n2, x.den)
     raise TypeError(type(x))
@@ -709,38 +720,29 @@ def exact_mul(x: Exact, y: Exact) -> Optional[Exact]:
                 and x.field == y.field):
             return _cubic_mul(x, y)
         return None
-    sx, sy = _surdsum_of(x), _surdsum_of(y)
-    if sx is not None and sy is not None:
-        return _surdsum_mul(sx, sy)
+    if isinstance(x, (Fraction, SurdSum)) and isinstance(y, (Fraction, SurdSum)):
+        return _surd_mul(x, y)
     return None
 
 
 def exact_floor(x: Exact) -> int:
     if isinstance(x, Fraction):
         return x.__floor__()
-    if isinstance(x, QuadElem):
+    if type(x) is QuadElem:
         return _quad_floor(x)
-    if isinstance(x, SurdSum):
-        return _refine(x, value_floor)
-    if isinstance(x, CubicElem):
-        if not (x.n1 or x.n2):
-            return x.n0 // x.den
-        return _cubic_decide(x, _floor_of_bounds)
-    raise TypeError(type(x))
+    if isinstance(x, CubicElem) and not (x.n1 or x.n2):
+        return x.n0 // x.den
+    return _decide_bounds(x, _floor_of_bounds)
 
 
 def exact_sign(x: Exact) -> int:
     if isinstance(x, Fraction):
         return (x > 0) - (x < 0)
-    if isinstance(x, QuadElem):
-        return _cmp_surd(x.b, x.d, -x.a)
-    if isinstance(x, SurdSum):
-        return _refine(x, value_sign)
-    if isinstance(x, CubicElem):
-        if not (x.n1 or x.n2):
-            return (x.n0 > 0) - (x.n0 < 0)
-        return _cubic_decide(x, _sign_of_bounds)
-    raise TypeError(type(x))
+    if type(x) is QuadElem:
+        return _quad_sign(x)
+    if isinstance(x, CubicElem) and not (x.n1 or x.n2):
+        return (x.n0 > 0) - (x.n0 < 0)
+    return _decide_bounds(x, _sign_of_bounds)
 
 
 def exact_compare(x: Exact, y: Exact) -> Optional[int]:
@@ -754,13 +756,8 @@ def exact_compare(x: Exact, y: Exact) -> Optional[int]:
 def exact_enclosure(x: Exact, bits: int) -> IntervalValue:
     if isinstance(x, Fraction):
         return IntervalValue.exactly(x, bits)
-    if isinstance(x, QuadElem):
-        return _quad_enclosure(x, bits)
-    if isinstance(x, SurdSum):
-        return _surdsum_enclosure(x, bits)
-    if isinstance(x, CubicElem):
-        return _cubic_enclosure(x, bits)
-    raise TypeError(type(x))
+    lo, hi, scale = _bounds(x, bits)
+    return IntervalValue(Fraction(lo, scale), Fraction(hi, scale), bits)
 
 
 def exact_is_integer(x: Exact) -> Optional[int]:
@@ -899,13 +896,6 @@ class ExactReal:
         return cls("e")
 
     @classmethod
-    def sqrt_of_exact(cls, value: Exact) -> "ExactReal":
-        """sqrt of a nonnegative exact element, enclosure-backed."""
-        if exact_sign(value) < 0:
-            raise ValueError("sqrt of a negative element")
-        return cls("sqrt_exact", value)
-
-    @classmethod
     def algebraic_root(cls, coeffs, lo, hi) -> "ExactReal":
         """The unique root of the integer polynomial inside [lo, hi].
 
@@ -949,8 +939,6 @@ class ExactReal:
             iv = exact_enclosure(self.payload, bits)
         elif self.kind in ("pi", "e"):
             iv = _named_enclosure(self.kind, bits)
-        elif self.kind == "sqrt_exact":
-            iv = exact_enclosure(self.payload, 2 * bits).sqrt(bits)
         elif self.kind == "root":
             iv = self.payload.enclosure(bits)
         else:

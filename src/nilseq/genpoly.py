@@ -118,10 +118,6 @@ def gp_neg(x) -> GpExpr:
     return Mul((_as_expr(-1), _as_expr(x)))
 
 
-def gp_floor(x) -> GpExpr:
-    return Floor(_as_expr(x))
-
-
 def gp_nearest(x) -> GpExpr:
     """<<x>> = floor(x + 1/2); ties round up."""
     return Floor(gp_add(x, Fraction(1, 2)))

@@ -293,10 +293,6 @@ def rauzy_norm_sq(params: PisotCubicParams, x1: Fraction, x2: Fraction) -> Cubic
     return params.norm_sq(Fraction(x1), Fraction(x2))
 
 
-def rauzy_norm(params: PisotCubicParams, x1, x2) -> ExactReal:
-    return ExactReal.sqrt_of_exact(rauzy_norm_sq(params, x1, x2))
-
-
 # ---------------------------------------------------------------------------
 # best approximations
 

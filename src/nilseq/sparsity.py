@@ -108,7 +108,10 @@ class PromisingGraph:
 
 
 def promising_graph(lsd: Dfao) -> PromisingGraph:
-    verts = promising_states(lsd)
+    """The promising states reachable from the initial state: an LSD
+    automaton is not trimmed, and an unreachable state says nothing about
+    the 1-set."""
+    verts = promising_states(lsd) & frozenset(lsd.reachable_states())
     edges = tuple((s, d, lsd.step(s, d)) for s in sorted(verts)
                   for d in range(lsd.base) if lsd.step(s, d) in verts)
     adj: dict[int, list[int]] = {s: [] for s in verts}

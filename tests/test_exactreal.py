@@ -279,3 +279,79 @@ def test_exact_is_integer():
     assert exact_is_integer(SQRT2) is None
     prod = exact_mul(SQRT2, SQRT2)
     assert exact_is_integer(prod) == 2
+
+
+# --- surds against mpmath ---------------------------------------------------
+
+SQUAREFREE = [2, 3, 5, 6, 7, 10, 11, 13, 15, 30]
+FRACS = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+NONZERO = FRACS.filter(bool)
+
+
+def _mp(x: Fraction):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _surd_and_value(rat, terms):
+    """rat + sum c sqrt(d) built by the library, and its value by mpmath
+    from the same inputs (call inside ``mpmath.workprec``)."""
+    x, v = rat, _mp(rat)
+    for c, d in terms:
+        x = exact_add(x, make_quad(0, c, d))
+        v += _mp(c) * mpmath.sqrt(d)
+    return x, v
+
+
+def _isqrt_enclosure(x, bits: int) -> tuple[Fraction, Fraction]:
+    """rat + sum c * [isqrt(d 4^bits), isqrt(d 4^bits) + 1] / 2^bits."""
+    rat, terms = (x, ()) if isinstance(x, Fraction) else (x.rat, x.terms)
+    lo = hi = rat
+    for c, d in terms:
+        s = math.isqrt(d * 4**bits)
+        ends = (c * Fraction(s, 2**bits), c * Fraction(s + 1, 2**bits))
+        lo, hi = lo + min(ends), hi + max(ends)
+    return lo, hi
+
+
+surd_terms = st.lists(st.tuples(NONZERO, st.sampled_from(SQUAREFREE)),
+                      min_size=2, max_size=3, unique_by=lambda t: t[1])
+
+
+@st.composite
+def surds(draw):
+    """(library value, mpmath value at 400 bits) of a quadratic surd, a
+    2-3-term surd sum, a product of two sums, or -isqrt(2n^2) + n sqrt 2."""
+    kind = draw(st.sampled_from(["quad", "sum", "product", "near"]))
+    with mpmath.workprec(400):
+        if kind == "near":
+            n = draw(st.integers(1, 10**6))
+            a = -math.isqrt(2 * n * n)
+            return make_quad(a, n, 2), a + n * mpmath.sqrt(2)
+        if kind == "quad":
+            return _surd_and_value(draw(FRACS), [(draw(NONZERO),
+                                                  draw(st.integers(2, 50)))])
+        x, v = _surd_and_value(draw(FRACS), draw(surd_terms))
+        if kind == "sum":
+            return x, v
+        y, w = _surd_and_value(draw(FRACS), draw(surd_terms))
+        return exact_mul(x, y), v * w
+
+
+@given(surds())
+@settings(max_examples=400, deadline=None)
+def test_surds_match_mpmath(case):
+    x, v = case
+    with mpmath.workprec(400):
+        if isinstance(x, Fraction):
+            # a product collapsed to Q: mpmath carries only rounding error
+            assert abs(v - _mp(x)) < mpmath.mpf(2) ** -300
+            return
+        for y, w in ((x, v), (exact_neg(x), -v)):
+            assert exact_floor(y) == int(mpmath.floor(w))
+            assert exact_sign(y) == (1 if w > 0 else -1)
+        for bits in (0, 1, 32, 96):
+            iv = exact_enclosure(x, bits)
+            assert (iv.lower, iv.upper) == _isqrt_enclosure(x, bits)
+            assert iv.precision_bits == bits
+            assert _mp(iv.lower) <= v <= _mp(iv.upper)
+

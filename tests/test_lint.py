@@ -23,6 +23,17 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def unnamed_private_defs(source: str) -> list[str]:
+    """Module-level _private functions and classes the module never names."""
+    tree = ast.parse(source)
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(defined - used)
+
+
 def test_unused_imports_are_found():
     source = "import os, re.sub\nfrom a import b as c, d\nos.x(d)\n"
     assert unused_imports(source) == ["c", "re"]
@@ -31,3 +42,15 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_unnamed_private_defs_are_found():
+    source = ("def _used(): pass\ndef _dead(): pass\nclass _Gone: pass\n"
+              "class _Base: pass\nclass Kept(_Base): pass\n"
+              "def __getattr__(name): pass\ndef public(): return _used()\n")
+    assert unnamed_private_defs(source) == ["_Gone", "_dead"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unnamed_private_defs(path):
+    assert unnamed_private_defs(path.read_text()) == []

@@ -100,6 +100,35 @@ def test_classify_baum_sweet(bs):
     assert w.state in promising_states(cls.lsd)
 
 
+def test_classify_ignores_unreachable_branching():
+    # state 0 branches inside the cycle {0, 2}, but only states 4 and 3 are
+    # reachable, and both output 0: the 1-set is empty
+    dfao = Dfao(2, ((0, 2), (1, 2), (0, 3), (3, 3), (3, 4)), (1, 0, 1, 0, 0),
+                4, ReadingOrder.LSD)
+    cls = classify(dfao)
+    assert cls.variant == "very_sparse"
+    assert cls.decomposition.basic_sets == ()
+
+
+@st.composite
+def binary_automaton(draw):
+    base = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 6 if base == 2 else 4))
+    rows = tuple(tuple(draw(st.integers(0, n - 1)) for _ in range(base))
+                 for _ in range(n))
+    outputs = tuple(draw(st.integers(0, 1)) for _ in range(n))
+    return Dfao(base, rows, outputs, draw(st.integers(0, n - 1)),
+                draw(st.sampled_from(list(ReadingOrder))))
+
+
+@given(binary_automaton())
+@settings(max_examples=300, deadline=None)
+def test_branching_witness_is_reachable(dfao):
+    cls = classify(dfao)
+    if cls.variant == "condition_i":
+        assert cls.witness.state in cls.lsd.reachable_states()
+
+
 def test_classify_rejects_nonbinary(tm):
     bad = map_outputs(tm, lambda o: o + 5)
     with pytest.raises(ValueError):
