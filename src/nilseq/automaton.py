@@ -3,9 +3,11 @@
 A DFAO computes a sequence by reading the base-k digits of n (most- or
 least-significant first, with leading-zero invariance) and applying an
 output map to the final state.  This module provides evaluation, the
-breadth-first walk that every automaton search is built on, exact kernel
-computation, reading-order reversal, base-power change, products,
-minimization, pattern-set builders, and pumping witnesses.
+breadth-first walk that every automaton search and construction is built
+on, exact kernel computation, reading-order reversal, base-power change,
+products, minimization, builders (a prohibited-pattern acceptor is
+``determinize`` keyed by the longest suffix read that is a proper prefix
+of a pattern), and pumping witnesses.
 """
 
 from __future__ import annotations
@@ -458,9 +460,11 @@ def parity_acceptor() -> Dfao:
 def from_prohibited_patterns(k: int, patterns: Iterable[Sequence[int]]) -> Dfao:
     """Indicator of n whose base-k expansion contains no prohibited factor.
 
-    Output 1 means the expansion is free of every pattern.  Aho-Corasick
-    factor tracking over the canonical expansion; the initial state absorbs
-    leading zeros so padding never creates a match.
+    Output 1 means the expansion is free of every pattern.  The states are
+    the keys ``determinize`` meets reading MSD first: ``"lead"`` before the
+    first nonzero digit (so padding never creates a match), ``None`` once a
+    pattern has occurred, else the longest suffix read that is a proper
+    prefix of a pattern.
     """
     pats = [tuple(p) for p in patterns]
     for p in pats:
@@ -469,52 +473,21 @@ def from_prohibited_patterns(k: int, patterns: Iterable[Sequence[int]]) -> Dfao:
         for d in p:
             if not 0 <= d < k:
                 raise ValueError("pattern digit out of range")
-    # Aho-Corasick trie over suffixes-that-are-prefixes, plus a dead state
-    prefixes = {(): 0}
-    for p in pats:
-        for i in range(1, len(p) + 1):
-            prefixes.setdefault(p[: i], len(prefixes))
-    # goto with failure collapse
-    items = sorted(prefixes, key=len)
-    idx = {p: i for i, p in enumerate(items)}
-    n_trie = len(items)
-    dead = n_trie + 1  # trie states shifted by one for the pre-expansion state
-    bad = set()
-    for p in pats:
-        for q in items:
-            if len(q) >= len(p) and q[-len(p):] == p:
-                bad.add(idx[q])
+    prefixes = {()} | {p[:i] for p in pats for i in range(1, len(p))}
 
-    def goto(state_word, d):
-        w = state_word + (d,)
-        while w and w not in prefixes:
+    def step(key, d):
+        if key is None or (key == "lead" and d == 0):
+            return key
+        w = (() if key == "lead" else key) + (d,)
+        if any(w[-len(p):] == p for p in pats):
+            return None
+        while w not in prefixes:
             w = w[1:]
-        return idx[w] if w in prefixes else idx[()]
+        return w
 
-    def match_closes(state_word, d):
-        w = state_word + (d,)
-        return any(len(w) >= len(p) and w[-len(p):] == p for p in pats)
-
-    transitions = []
-    # state 0: pre-expansion (leading zeros); trie state q -> q+1; dead last
-    row0 = []
-    for d in range(k):
-        if d == 0:
-            row0.append(0)
-        else:
-            row0.append(dead if match_closes((), d) else goto((), d) + 1)
-    transitions.append(tuple(row0))
-    for q in items:
-        row = []
-        for d in range(k):
-            if idx[q] in bad or match_closes(q, d):
-                row.append(dead)
-            else:
-                row.append(goto(q, d) + 1)
-        transitions.append(tuple(row))
-    transitions.append(tuple([dead] * k))
-    outputs = [1] + [0 if idx[q] in bad else 1 for q in items] + [0]
-    return minimize(Dfao(k, tuple(transitions), tuple(outputs), 0, ReadingOrder.MSD))
+    keys, table = determinize("lead", lambda key: [step(key, d) for d in range(k)])
+    outputs = tuple(0 if key is None else 1 for key in keys)
+    return minimize(Dfao(k, table, outputs, 0, ReadingOrder.MSD))
 
 
 def baum_sweet() -> Dfao:
@@ -564,7 +537,7 @@ def pumping_witness(dfao: Dfao, value: Hashable, L: int = 0,
                 i, j = seen_at[s], pos
                 u0, v, u1 = word[:i], word[i:j], word[j:]
                 triple = _orient_triple(dfao, u0, v, u1)
-                if _check_pump(dfao, triple, value, 8):
+                if check_pumping_witness(dfao, triple, value, 8):
                     return triple
             else:
                 seen_at[s] = pos
@@ -582,10 +555,6 @@ def _orient_triple(dfao, u0, v, u1):
 
 
 def check_pumping_witness(dfao: Dfao, triple, value, t_max: int) -> bool:
-    return _check_pump(dfao, triple, value, t_max)
-
-
-def _check_pump(dfao, triple, value, t_max):
     u0, v, u1 = triple
     if len(v) == 0:
         return False
@@ -599,31 +568,16 @@ def _check_pump(dfao, triple, value, t_max):
 def _find_word_of_length(dfao: Dfao, value, length: int):
     """A length-``length`` word with the given output, canonical in the
     automaton's own word-space when possible (zero invariance covers the rest)."""
-    if length == 0:
-        return () if dfao.outputs[dfao.initial] == value else None
-    layers = [{dfao.initial: None}]
-    for _ in range(length):
-        nxt = {}
-        for s in layers[-1]:
-            for d in range(dfao.base):
-                t = dfao.step(s, d)
-                if t not in nxt:
-                    nxt[t] = (s, d)
-        layers.append(nxt)
-    target = None
-    for s in layers[-1]:
-        if dfao.outputs[s] == value:
-            target = s
-            break
-    if target is None:
-        return None
-    word = []
-    s = target
-    for depth in range(length, 0, -1):
-        prev, d = layers[depth][s]
-        word.append(d)
-        s = prev
-    return tuple(reversed(word))
+    def successors(key):
+        s, depth = key
+        if depth == length:
+            return ()
+        return ((d, (t, depth + 1)) for d, t in dfao.successors(s))
+
+    links = reach([(dfao.initial, 0)], successors)
+    target = next((key for key in links
+                   if key[1] == length and dfao.outputs[key[0]] == value), None)
+    return None if target is None else word_to(links, target)
 
 
 # ---------------------------------------------------------------------------

@@ -219,7 +219,7 @@ def _cmd_sparsity(args, report: Report) -> None:
             report.results["v2"] = list(cls.witness.v2)
     elif args.action == "growth":
         grid = [2**j for j in range(4, args.log2_max + 1, 2)]
-        rep = growth_census(dfao, grid)
+        rep = growth_census(dfao, grid, seed=args.seed)
         report.seed = rep.seed
         report.results["samples"] = rep.samples
         report.results["regime"] = list(rep.regime)

@@ -167,13 +167,20 @@ def gp_poly(coeffs: Sequence) -> GpExpr:
 
 @dataclass
 class EvalResult:
-    """A resolved evaluation: every floor decided, enclosure attached."""
+    """A resolved evaluation: every floor decided.  The value is ``exact``,
+    or else ``interval``; ``enclosure`` is computed when read."""
 
-    enclosure: IntervalValue
+    interval: Optional[IntervalValue]
     exact: Optional[Exact]
     is_integer: bool
     integer_value: Optional[int]
     bits_used: int
+
+    @property
+    def enclosure(self) -> IntervalValue:
+        if self.exact is None:
+            return self.interval
+        return exact_enclosure(self.exact, max(self.bits_used, 64))
 
     def to_float(self) -> float:
         return self.enclosure.to_float()
@@ -220,9 +227,8 @@ def eval_gp(expr: GpExpr, n: int, policy: Optional[PrecisionPolicy] = None,
         v = _eval_node(expr, n, bits, use_exact)
         if isinstance(v, IntervalValue):
             return EvalResult(v, None, False, None, bits)
-        iv = exact_enclosure(v, max(bits, 64))
         k = exact_is_integer(v)
-        return EvalResult(iv, v, k is not None, k, bits)
+        return EvalResult(None, v, k is not None, k, bits)
 
     return decide(at, policy)
 

@@ -48,20 +48,20 @@ def promising_states(dfao: Dfao) -> frozenset[int]:
     return frozenset(reach(accepting, rev.__getitem__))
 
 
-def _tarjan_scc(vertices: Sequence[int], succ: Callable[[int], Iterable[int]]):
+def _tarjan_scc(vertices: Sequence[int], succ: Callable[[int], Iterable[int]]
+                ) -> dict[int, int]:
+    """The strongly connected component of each vertex, named by its root."""
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     on_stack: set[int] = set()
     stack: list[int] = []
-    comps: list[tuple[int, ...]] = []
-    counter = [0]
+    comp_of: dict[int, int] = {}
 
     for root in vertices:
         if root in index:
             continue
         work = [(root, iter(succ(root)))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+        index[root] = low[root] = len(index)
         stack.append(root)
         on_stack.add(root)
         while work:
@@ -69,8 +69,7 @@ def _tarjan_scc(vertices: Sequence[int], succ: Callable[[int], Iterable[int]]):
             advanced = False
             for w in it:
                 if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
+                    index[w] = low[w] = len(index)
                     stack.append(w)
                     on_stack.add(w)
                     work.append((w, iter(succ(w))))
@@ -85,26 +84,26 @@ def _tarjan_scc(vertices: Sequence[int], succ: Callable[[int], Iterable[int]]):
                 pv = work[-1][0]
                 low[pv] = min(low[pv], low[v])
             if low[v] == index[v]:
-                comp = []
                 while True:
                     w = stack.pop()
                     on_stack.discard(w)
-                    comp.append(w)
+                    comp_of[w] = v
                     if w == v:
                         break
-                comps.append(tuple(sorted(comp)))
-    return comps
+    return comp_of
 
 
 @dataclass(frozen=True)
 class PromisingGraph:
-    """Promising states of an LSD automaton with their SCC condensation."""
+    """The promising states of an LSD automaton reachable from its initial
+    state, with their strongly connected components: ``intra[s]`` and
+    ``bridges[s]`` list the (digit, target) edges from s to promising
+    states, digits ascending, that stay in s's component and that leave it.
+    """
 
     vertices: frozenset[int]
-    edges: tuple[tuple[int, int, int], ...]  # (state, digit, target)
-    comps: tuple[tuple[int, ...], ...]
-    comp_of: dict[int, int]
-    comp_dag: dict[int, frozenset[int]]
+    intra: dict[int, tuple[tuple[int, int], ...]]
+    bridges: dict[int, tuple[tuple[int, int], ...]]
 
 
 def promising_graph(lsd: Dfao) -> PromisingGraph:
@@ -112,22 +111,13 @@ def promising_graph(lsd: Dfao) -> PromisingGraph:
     automaton is not trimmed, and an unreachable state says nothing about
     the 1-set."""
     verts = promising_states(lsd) & frozenset(lsd.reachable_states())
-    edges = tuple((s, d, lsd.step(s, d)) for s in sorted(verts)
-                  for d in range(lsd.base) if lsd.step(s, d) in verts)
-    adj: dict[int, list[int]] = {s: [] for s in verts}
-    for s, _, t in edges:
-        adj[s].append(t)
-    comps = tuple(_tarjan_scc(sorted(verts), lambda v: adj[v]))
-    comp_of = {}
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = i
-    dag: dict[int, set[int]] = {i: set() for i in range(len(comps))}
-    for s, _, t in edges:
-        if comp_of[s] != comp_of[t]:
-            dag[comp_of[s]].add(comp_of[t])
-    return PromisingGraph(verts, edges, comps,
-                          comp_of, {i: frozenset(v) for i, v in dag.items()})
+    out = {s: [(d, t) for d, t in lsd.successors(s) if t in verts] for s in verts}
+    comp_of = _tarjan_scc(sorted(verts), lambda v: (t for _, t in out[v]))
+    intra = {s: tuple((d, t) for d, t in out[s] if comp_of[t] == comp_of[s])
+             for s in verts}
+    bridges = {s: tuple((d, t) for d, t in out[s] if comp_of[t] != comp_of[s])
+               for s in verts}
+    return PromisingGraph(verts, intra, bridges)
 
 
 # ---------------------------------------------------------------------------
@@ -370,26 +360,29 @@ def decomposition_to_dfao(decomp: VerySparseDecomposition,
                     nxt = new_state()
                     trans[cur].setdefault(d, []).append(nxt)
                     cur = nxt
-            else:
-                if not part:
-                    continue
-                loop_start = cur
-                inner = cur
+            elif part:
+                # a fresh loop state, so pumps with an empty connector between
+                # them do not share a loop and interleave
+                loop = new_state()
+                eps[cur].append(loop)
+                inner = loop
                 for d in part[:-1]:
                     nxt = new_state()
                     trans[inner].setdefault(d, []).append(nxt)
                     inner = nxt
                 # closing the loop
-                trans[inner].setdefault(part[-1], []).append(loop_start)
-                cur = loop_start
+                trans[inner].setdefault(part[-1], []).append(loop)
+                cur = loop
         accepting.add(cur)
 
     def eps_closure(states: Iterable[int]) -> frozenset[int]:
         return frozenset(reach(states, lambda s: enumerate(eps[s])))
 
     init = eps_closure(starts)
-    # leading-zero semantics: accept 0^j x whenever some 0^i x is a pattern word
-    zclosure = reach(init, lambda s: ((0, t) for t in trans[s].get(0, ())))
+    # leading-zero semantics: accept 0^j x whenever some 0^i x is a pattern
+    # word, so the closure follows the 0-edges and the epsilon edges
+    zclosure = reach(init, lambda s: ((0, t) for t in
+                                      (*eps[s], *trans[s].get(0, ()))))
     pad = new_state()  # absorbs leading zeros
     trans[pad][0] = [pad]
     eps[pad].extend(sorted(zclosure))
@@ -442,20 +435,11 @@ def classify(dfao: Dfao, state_budget: int = 10**6) -> Classification:
         raise ValueError("classification requires a {0,1} output alphabet")
     lsd = to_lsd(dfao, state_budget)
     graph = promising_graph(lsd)
-    intra: dict[int, list[tuple[int, int]]] = {v: [] for v in graph.vertices}
-    for s, d, t in graph.edges:
-        if graph.comp_of[s] == graph.comp_of[t]:
-            intra[s].append((d, t))
     for s in sorted(graph.vertices):
-        if len(intra[s]) >= 2:
-            comp = frozenset(graph.comps[graph.comp_of[s]])
-
-            def inside(v):
-                return ((d, t) for d, t in lsd.successors(v) if t in comp)
-
-            (d1, t1), (d2, t2) = intra[s][0], intra[s][1]
-            c1 = (d1,) + word_to(reach([t1], inside), s)
-            c2 = (d2,) + word_to(reach([t2], inside), s)
+        if len(graph.intra[s]) >= 2:
+            (d1, t1), (d2, t2) = graph.intra[s][:2]
+            c1 = (d1,) + word_to(reach([t1], graph.intra.__getitem__), s)
+            c2 = (d2,) + word_to(reach([t2], graph.intra.__getitem__), s)
             v1 = c1 * len(c2)
             v2 = c2 * len(c1)
             assert len(v1) == len(v2) and v1 != v2
@@ -466,83 +450,49 @@ def classify(dfao: Dfao, state_budget: int = 10**6) -> Classification:
     return Classification("very_sparse", lsd, decomposition=decomposition)
 
 
-def _cycle_next(graph: PromisingGraph, comp_id: int,
-                intra: dict[int, list[tuple[int, int]]]):
-    """For a cycle component: vertex -> (digit, successor) along the cycle."""
-    nxt = {}
-    for v in graph.comps[comp_id]:
-        moves = intra[v]
-        if len(moves) == 1:
-            nxt[v] = moves[0]
-        elif len(moves) > 1:
-            raise AssertionError("branching component reached in cycle walk")
-    return nxt
-
-
 def _enumerate_condensation_paths(lsd: Dfao, graph: PromisingGraph
                                   ) -> VerySparseDecomposition:
     k = lsd.base
     if lsd.initial not in graph.vertices:
         return VerySparseDecomposition(k, ())
-    intra: dict[int, list[tuple[int, int]]] = {v: [] for v in graph.vertices}
-    bridges: dict[int, list[tuple[int, int]]] = {v: [] for v in graph.vertices}
-    for s, d, t in graph.edges:
-        if graph.comp_of[s] == graph.comp_of[t]:
-            intra[s].append((d, t))
-        else:
-            bridges[s].append((d, t))
-
     raw_patterns: list[list[tuple[int, ...]]] = []
 
-    def comp_paths(comp_id: int, entry: int):
-        """(word_to_x, pump_at_x, x) choices inside one component."""
-        comp = graph.comps[comp_id]
-        nxt = _cycle_next(graph, comp_id, intra)
-        if entry not in nxt:
-            # trivial vertex without intra edge
+    def comp_paths(entry: int):
+        """(word_to_x, pump_at_x, x) choices inside the component of entry:
+        a trivial one, or a cycle (one intra edge per vertex)."""
+        if not graph.intra[entry]:
             yield ((), None, entry)
             return
-        # walk the cycle from entry
-        path: list[int] = []
+        word: list[int] = []
+        cycle = []
         v = entry
-        visited = []
-        while True:
-            visited.append((tuple(path), v))
-            d, t = nxt[v]
-            path.append(d)
-            v = t
-            if v == entry:
-                break
-        cycle_len = len(path)
-        for word_to_x, x in visited:
-            # pump = cycle word starting at x
-            pump = []
-            w = x
-            for _ in range(cycle_len):
-                d, t = nxt[w]
-                pump.append(d)
-                w = t
-            yield (word_to_x, tuple(pump), x)
+        while not cycle or v != entry:
+            cycle.append(v)
+            (d, v), = graph.intra[v]
+            word.append(d)
+        for i, x in enumerate(cycle):
+            # the pump at x is the cycle word rotated to start at x
+            yield (tuple(word[:i]), tuple(word[i:] + word[:i]), x)
 
-    def rec(comp_id: int, entry: int, acc: list):
+    def rec(entry: int, acc: list):
         # acc: alternating [conn, pump, conn, pump, ...] starting with conn
-        for word_to_x, pump, x in comp_paths(comp_id, entry):
+        for word_to_x, pump, x in comp_paths(entry):
             # finalize here if x accepts
             if lsd.outputs[x] == 1:
                 pattern = acc[:-1] + [acc[-1] + list(word_to_x)]
                 if pump is not None:
                     pattern = pattern + [list(pump), []]
                 raw_patterns.append([tuple(p) for p in pattern])
-            for d, t in bridges[x]:
+            for d, t in graph.bridges[x]:
                 new_acc = acc[:-1] + [acc[-1] + list(word_to_x)]
                 if pump is not None:
                     new_acc = new_acc + [list(pump)]
                 else:
                     new_acc = new_acc + [[]]
                 new_acc = new_acc + [[d]]
-                rec(graph.comp_of[t], t, new_acc)
+                rec(t, new_acc)
 
-    rec(graph.comp_of[lsd.initial], lsd.initial, [[]])
+    rec(lsd.initial, [[]])
 
     # convert LSD patterns (alternating conn/pump/.../conn) to MSD basic sets
     msd_raw = []
@@ -803,15 +753,9 @@ def ip_plus_witness(dfao: Dfao, depth: int = 10) -> IpPlusWitness:
         if lsd.outputs[s] != 1:
             continue
         # rho shape of the 0-chain from s
-        chain = [s]
-        pos = {s: 0}
-        while True:
-            nxt = lsd.step(chain[-1], 0)
-            if nxt in pos:
-                tail, cycle = pos[nxt], len(chain) - pos[nxt]
-                break
-            pos[nxt] = len(chain)
-            chain.append(nxt)
+        chain = list(reach([s], lambda x: [(0, lsd.step(x, 0))]))
+        tail = chain.index(lsd.step(chain[-1], 0))
+        cycle = len(chain) - tail
         p_steps = cycle * max(1, -(-max(tail, 1) // cycle))  # lcm-ish multiple >= tail
         s_prime = chain[tail + ((p_steps - tail) % cycle)]
         # shortest word from s' back to s whose final digit is nonzero

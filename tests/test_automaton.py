@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import digit_sum
 from nilseq.automaton import (
@@ -308,6 +308,13 @@ def brute_force_free(n: int, patterns, base=2) -> int:
     return 0 if any(p in word for p in pats) else 1
 
 
+def assert_matches_brute_force(k, patterns, bound):
+    d = from_prohibited_patterns(k, patterns)
+    assert is_zero_invariant(d)
+    for n in range(bound):
+        assert d.eval(n) == brute_force_free(n, patterns, k), n
+
+
 def test_prohibited_11_examples(eleven_free):
     assert eleven_free.eval(5) == 1   # 101
     assert eleven_free.eval(3) == 0   # 11
@@ -326,14 +333,28 @@ def test_prohibited_empty_set_is_constant_one():
     [(0, 1), (1, 1, 1)],
 ])
 def test_prohibited_patterns_vs_brute_force(patterns):
-    d = from_prohibited_patterns(2, patterns)
-    assert is_zero_invariant(d)
-    for n in range(1 << 14):
-        assert d.eval(n) == brute_force_free(n, patterns), n
+    assert_matches_brute_force(2, patterns, 1 << 14)
+
+
+@st.composite
+def pattern_set(draw):
+    k = draw(st.integers(2, 4))
+    # leading-zero patterns such as (0,) and (0, 0, 1) included
+    pattern = st.lists(st.integers(0, k - 1), min_size=1, max_size=4).map(tuple)
+    return k, draw(st.lists(pattern, max_size=4))
+
+
+@given(pattern_set())
+@example((2, [(0,)]))
+@example((3, [(0, 0, 1), (2,)]))
+@settings(max_examples=150, deadline=None)
+def test_prohibited_patterns_property(case):
+    k, patterns = case
+    assert_matches_brute_force(k, patterns, {2: 1 << 11, 3: 3**7, 4: 4**6}[k])
 
 
 def test_prohibited_patterns_big_scan(eleven_free):
-    # full-scale soundness check for the Aho-Corasick builder
+    # full-scale soundness check for the prohibited-pattern builder
     for n in range(10**6):
         word = bin(n)[2:]
         assert eleven_free.eval(n) == (0 if "11" in word else 1)

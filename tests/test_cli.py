@@ -14,6 +14,7 @@ from nilseq.automaton import (
 )
 from nilseq.cli import run
 from nilseq.fixtures import eleven_free_acceptor
+from nilseq.sparsity import growth_census
 
 
 def invoke(argv):
@@ -143,6 +144,18 @@ def test_determinism(files):
     rep1.pop("timing_seconds")
     rep2.pop("timing_seconds")
     assert rep1 == rep2
+
+
+def test_seed_reaches_the_growth_census(files):
+    argv = ["sparsity", "growth", "--file", str(files / "free11.aut"),
+            "--log2-max", "8"]
+    _, default = invoke(argv)
+    _, seeded = invoke(["--seed", "7"] + argv)
+    assert default["seed"] == default["config"]["seed"] == 20160517
+    assert seeded["seed"] == seeded["config"]["seed"] == 7
+    grid = [2**j for j in range(4, 9, 2)]
+    want = growth_census(eleven_free_acceptor(), grid, seed=7).window_stats
+    assert seeded["results"]["window_stats"] == [list(w) for w in want]
 
 
 def test_fib_subcommand():

@@ -54,3 +54,46 @@ def test_unnamed_private_defs_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unnamed_private_defs(path):
     assert unnamed_private_defs(path.read_text()) == []
+
+
+def unnamed_nested_defs(source: str) -> list[str]:
+    """Functions defined in a function body that the enclosing function
+    never names (methods of a class body are not nested functions)."""
+    tree = ast.parse(source)
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for outer in ast.walk(tree):
+        if not isinstance(outer, funcs):
+            continue
+        used = {n.id for n in ast.walk(outer) if isinstance(n, ast.Name)}
+        # the defs of outer's own body, not those of a nested scope
+        todo = list(ast.iter_child_nodes(outer))
+        while todo:
+            node = todo.pop()
+            if isinstance(node, funcs):
+                if node.name not in used:
+                    found.append(f"{outer.name}.{node.name}")
+            elif not isinstance(node, (ast.ClassDef, ast.Lambda)):
+                todo.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_unnamed_nested_defs_are_found():
+    source = ("def f():\n"
+              "    def used(): pass\n"
+              "    def dead(): pass\n"
+              "    if True:\n"
+              "        def dead_in_branch(): pass\n"
+              "    class C:\n"
+              "        def method(self): pass\n"
+              "    def g():\n"
+              "        def inner(): pass\n"
+              "        return 1\n"
+              "    return used, g, C\n")
+    assert unnamed_nested_defs(source) == ["f.dead", "f.dead_in_branch",
+                                           "g.inner"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unnamed_nested_defs(path):
+    assert unnamed_nested_defs(path.read_text()) == []

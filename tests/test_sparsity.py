@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nilseq.automaton import (
     Dfao,
@@ -19,6 +19,7 @@ from nilseq.automaton import (
     powers_acceptor,
     product,
     reach,
+    reverse_reading,
     to_msd,
     word_to,
 )
@@ -195,6 +196,74 @@ def test_rank2_fixture_counts():
     assert 100 <= len(members) <= 400
     dfao = decomposition_to_dfao(RANK2)
     assert count_accepted_below(dfao, 1 << 20) == len(members)
+
+
+def accepted_below_power(dfao, length):
+    """{n < k^length : eval(n) = 1} of a zero-invariant MSD automaton, read
+    as every word of ``length`` digits in increasing order."""
+    states = [dfao.initial]
+    for _ in range(length):
+        states = [dfao.step(s, d) for s in states for d in range(dfao.base)]
+    return [n for n, s in enumerate(states) if dfao.outputs[s] == 1]
+
+
+@st.composite
+def decomposition(draw):
+    base = draw(st.sampled_from([2, 3]))
+    digits = st.integers(0, base - 1)
+    patterns = []
+    for _ in range(draw(st.integers(1, 2))):
+        rank = draw(st.integers(0, 2))
+        parts = [tuple(draw(st.lists(digits, max_size=3)))]
+        for _ in range(rank):
+            parts.append(tuple(draw(st.lists(digits, min_size=1, max_size=3))))
+            parts.append(tuple(draw(st.lists(digits, max_size=3))))
+        patterns.append(parts)
+    return make_decomposition(base, patterns)
+
+
+def assert_round_trips(dfao, want):
+    """classify(dfao) is very sparse and its decomposition's acceptor
+    computes the same set as the MSD automaton ``want``."""
+    cls = classify(dfao)
+    assert cls.is_very_sparse
+    assert equivalent(decomposition_to_dfao(cls.decomposition), minimize(want))
+
+
+ADJACENT_PUMPS = make_decomposition(2, [[(1,), (0, 1), (), (1, 1), ()]])
+
+
+@given(decomposition())
+@example(ADJACENT_PUMPS)
+@settings(max_examples=200, deadline=None)
+def test_decomposition_acceptor_matches_members(decomp):
+    dfao = decomposition_to_dfao(decomp)
+    assert is_zero_invariant(dfao)
+    bound = decomp.base**9
+    assert accepted_below_power(dfao, 9) == enumerate_members(decomp, bound)
+    assert_round_trips(dfao, dfao)
+    assert_round_trips(reverse_reading(dfao), dfao)
+
+
+@st.composite
+def zero_invariant_automaton(draw):
+    base = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 6 if base == 2 else 4))
+    rows = [[draw(st.integers(0, n - 1)) for _ in range(base)] for _ in range(n)]
+    rows[0][0] = 0  # the initial state absorbs leading zeros
+    outputs = tuple(draw(st.integers(0, 1)) for _ in range(n))
+    dfao = Dfao(base, tuple(map(tuple, rows)), outputs, 0, ReadingOrder.MSD)
+    return reverse_reading(dfao) if draw(st.booleans()) else dfao
+
+
+@given(zero_invariant_automaton())
+@settings(max_examples=300, deadline=None)
+def test_classification_is_usable_on_both_sides(dfao):
+    cls = classify(dfao)
+    if cls.is_very_sparse:
+        assert_round_trips(dfao, to_msd(dfao))
+    else:
+        ips_witness(dfao, horizon=200, depth=6)
 
 
 def test_finite_pattern_rank_zero():
@@ -375,6 +444,17 @@ def test_normalize_mixed_pump_lengths():
     want = {v for v in enumerate_members(decomp, 1 << 34)
             if v % nf.modulus == nf.residue}
     assert got == want
+
+
+def test_normalize_adjacent_pumps():
+    # members 1 (01)^a (11)^b: the two pump loops once shared a state, so
+    # the acceptor took interleavings such as 29 = 0b11101 and the
+    # intersection with the progression was not very sparse
+    nf = normalize_arith_progression(ADJACENT_PUMPS, verify_bound=1 << 34)
+    got = set(enumerate_members(nf.decomposition(), 1 << 34))
+    want = {v for v in enumerate_members(ADJACENT_PUMPS, 1 << 34)
+            if v % nf.modulus == nf.residue}
+    assert got == want and got
 
 
 def test_normalize_rejects_finite():
