@@ -85,9 +85,6 @@ class Dfao:
     def eval_word(self, word: Iterable[int]) -> Hashable:
         return self.outputs[self.run(self.initial, word)]
 
-    def accepts(self, n: int) -> bool:
-        return self.eval(n) == 1
-
     def successors(self, state: int) -> Iterable[tuple[int, int]]:
         """(digit, successor) pairs of a state, digits ascending."""
         return enumerate(self.transitions[state])
@@ -177,11 +174,13 @@ def is_zero_invariant(dfao: Dfao) -> bool:
     LSD: every reachable state must keep its output along the 0-chain.
     """
     if dfao.order is ReadingOrder.LSD:
-        return all(
-            dfao.outputs[dfao.step(s, 0)] == dfao.outputs[s]
-            for s in dfao.reachable_states()
-        )
+        return _zero_keeps_outputs(dfao, dfao.reachable_states())
     return equivalent(dfao, replace(dfao, initial=dfao.step(dfao.initial, 0)))
+
+
+def _zero_keeps_outputs(dfao: Dfao, states: Iterable[int]) -> bool:
+    """Whether reading 0 keeps the output of each of the states."""
+    return all(dfao.outputs[dfao.step(s, 0)] == dfao.outputs[s] for s in states)
 
 
 def verify_zero_invariance(dfao: Dfao, horizon: int) -> bool:
@@ -345,16 +344,15 @@ class KernelReport:
     size: int
 
 
-def _canonical_partition(dfao: Dfao) -> dict[int, int]:
-    """Partition of LSD states by equality of computed functions, ignoring
-    the empty-word output (handled separately by the caller).
+def _canonical_partition(dfao: Dfao, states: list[int]) -> dict[int, int]:
+    """Partition of the reachable LSD states by equality of computed
+    functions, ignoring the empty-word output (handled separately by the
+    caller).
 
     Two states compute the same function on canonical LSD words ending in a
     nonzero digit iff they share this block; full function equality adds
     agreement of the states' own outputs.
     """
-    states = dfao.reachable_states()
-
     def sig0(s):
         return tuple(dfao.outputs[dfao.step(s, d)] for d in range(1, dfao.base))
 
@@ -376,11 +374,12 @@ def kernel(dfao: Dfao, state_cap: int = 10**6, map_entry_cap: int = 4096) -> Ker
     compute identical functions.  Never decided from sampled prefixes.
     """
     lsd = to_lsd(dfao, state_budget=state_cap)
-    if not is_zero_invariant(lsd):
+    states = lsd.reachable_states()
+    if not _zero_keeps_outputs(lsd, states):
         raise ValueError("kernel requires a leading-zero invariant automaton")
     if lsd.n_states > state_cap:
         raise BudgetExceeded("kernel state closure exceeded cap")
-    block = _canonical_partition(lsd)
+    block = _canonical_partition(lsd, states)
     k = lsd.base
 
     def class_key(s):

@@ -39,6 +39,7 @@ from .exactreal import (
     PrecisionPolicy,
     default_max_bits,
     exact_enclosure,
+    to_interval,
 )
 from .genpoly import (
     CONST_NAMES,
@@ -404,9 +405,7 @@ def _cmd_orbit(args, report: Report) -> None:
         sys_ = TorusSkewSystem.from_poly(coeffs, args.m)
         pt = skew_orbit_point(sys_, None, args.n,
                               check_iterate_up_to=min(args.n, 1000))
-        report.results["point"] = [
-            _iv_json(exact_enclosure(x, 96)) if not isinstance(x, IntervalValue)
-            else _iv_json(x) for x in pt]
+        report.results["point"] = [_iv_json(to_interval(x, 96)) for x in pt]
         if args.residue is not None:
             report.results["indicator"] = residue_indicator(
                 sys_, None, args.m, args.residue, args.n)
@@ -414,9 +413,7 @@ def _cmd_orbit(args, report: Report) -> None:
         alpha = _const_expr(args.alpha)
         beta = _const_expr(args.beta)
         f = heisenberg_fracpart(alpha, beta, args.n)
-        report.results["fracpart"] = [
-            _iv_json(exact_enclosure(x, 96)) if not isinstance(x, IntervalValue)
-            else _iv_json(x) for x in f]
+        report.results["fracpart"] = [_iv_json(to_interval(x, 96)) for x in f]
     elif args.action == "scan":
         alpha = _const_expr(args.alpha)
         beta = _const_expr(args.beta)
@@ -685,29 +682,20 @@ def run(argv: list[str]) -> int:
                        args.seed)
     report = Report(command=list(argv), inputs_digest="", config=config)
     start = time.time()
+    code, results = 0, report.results
     try:
         _HANDLERS[args.command](args, report)
     except PrecisionExhausted as exc:
-        report.results["error"] = f"precision exhausted: {exc}"
-        report.timing_seconds = time.time() - start
-        report.emit()
-        return 2
+        code, results["error"] = 2, f"precision exhausted: {exc}"
     except BudgetExceeded as exc:
-        report.results["error"] = f"budget exhausted: {exc}"
-        report.timing_seconds = time.time() - start
-        report.emit()
-        return 3
-    except (OSError, ValueError, SystemExit, InvalidPisot) as exc:
-        if isinstance(exc, InvalidPisot):
-            report.results["error"] = f"invalid parameters: {exc}"
-        else:
-            report.results["error"] = str(exc)
-        report.timing_seconds = time.time() - start
-        report.emit()
-        return 1
+        code, results["error"] = 3, f"budget exhausted: {exc}"
+    except InvalidPisot as exc:  # a ValueError, reported with its own prefix
+        code, results["error"] = 1, f"invalid parameters: {exc}"
+    except (OSError, ValueError, SystemExit) as exc:
+        code, results["error"] = 1, str(exc)
     report.timing_seconds = time.time() - start
     report.emit()
-    return 0
+    return code
 
 
 def main() -> None:

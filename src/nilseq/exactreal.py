@@ -22,6 +22,9 @@ interval alone, which is why the exact layer exists.
 
 Every enclosure-based decision runs on one precision ladder, ``decide``,
 and the mixed ``value_*`` operations combine exact and interval values.
+Every rounding and comparison of a value is decided here: floor, sign,
+nearest integer, fractional part, distance to the nearest integer and
+compare (``value_*``, with ``exact_*`` twins for exact elements).
 """
 
 from __future__ import annotations
@@ -753,6 +756,20 @@ def exact_compare(x: Exact, y: Exact) -> Optional[int]:
     return exact_sign(diff)
 
 
+def exact_abs(x: Exact) -> Exact:
+    return x if exact_sign(x) >= 0 else exact_neg(x)
+
+
+def exact_nearest(x: Exact) -> int:
+    """<<x>> = floor(x + 1/2); ties round up."""
+    return exact_floor(exact_add(x, Fraction(1, 2)))
+
+
+def exact_dist(x: Exact) -> Exact:
+    """||x|| = |x - <<x>>|, the distance to the nearest integer."""
+    return exact_abs(exact_add(x, Fraction(-exact_nearest(x))))
+
+
 def exact_enclosure(x: Exact, bits: int) -> IntervalValue:
     if isinstance(x, Fraction):
         return IntervalValue.exactly(x, bits)
@@ -760,7 +777,9 @@ def exact_enclosure(x: Exact, bits: int) -> IntervalValue:
     return IntervalValue(Fraction(lo, scale), Fraction(hi, scale), bits)
 
 
-def exact_is_integer(x: Exact) -> Optional[int]:
+def exact_is_integer(x: Value) -> Optional[int]:
+    """The integer x is, when the exact layer shows it; None otherwise (an
+    enclosure never shows it)."""
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else None
     if isinstance(x, CubicElem) and not (x.n1 or x.n2) and x.den == 1:
@@ -818,6 +837,39 @@ def value_sign(x: Value) -> int:
     return s
 
 
+def value_compare(x: Value, y: Value, bits: int) -> int:
+    """Sign of x - y: exact when the difference stays in the exact layer,
+    else from the enclosure [x.lower - y.upper, x.upper - y.lower]."""
+    if not isinstance(x, IntervalValue) and not isinstance(y, IntervalValue):
+        s = exact_compare(x, y)
+        if s is not None:
+            return s
+    return value_sign(to_interval(x, bits) - to_interval(y, bits))
+
+
+def value_nearest(x: Value, bits: int) -> int:
+    """<<x>> = floor(x + 1/2), decided as ``value_floor`` decides."""
+    return value_floor(value_add(x, Fraction(1, 2), bits))
+
+
+def value_frac(x: Value, bits: int) -> Value:
+    """{x} = x - floor(x)."""
+    return value_add(x, Fraction(-value_floor(x)), bits)
+
+
+def value_dist(x: Value, bits: int) -> Value:
+    """||x|| = |x - <<x>>|.  An enclosure of x - <<x>> that contains 0
+    gives [0, max(-lower, upper)]."""
+    if not isinstance(x, IntervalValue):
+        return exact_dist(x)
+    y = value_add(x, Fraction(-value_nearest(x, bits)), bits)
+    if y.lower >= 0:
+        return y
+    if y.upper <= 0:
+        return -y
+    return IntervalValue(Fraction(0), max(-y.lower, y.upper), y.precision_bits)
+
+
 # ---------------------------------------------------------------------------
 # named constants and roots
 
@@ -868,7 +920,10 @@ class ExactReal:
         return cls("exact", Fraction(p, q))
 
     @classmethod
-    def from_exact(cls, value: Exact) -> "ExactReal":
+    def from_exact(cls, value: Union[int, Exact, "ExactReal"]) -> "ExactReal":
+        """An exact element (or int) as a constant; a constant as is."""
+        if isinstance(value, ExactReal):
+            return value
         if isinstance(value, int):
             value = Fraction(value)
         return cls("exact", value)
@@ -933,6 +988,10 @@ class ExactReal:
 
     def exact(self) -> Optional[Exact]:
         return self.payload if self.kind == "exact" else None
+
+    def value(self, bits: int) -> Value:
+        """The exact element, or else the enclosure at bits."""
+        return self.payload if self.kind == "exact" else self.enclosure(bits)
 
     def enclosure(self, bits: int) -> IntervalValue:
         if self.kind == "exact":

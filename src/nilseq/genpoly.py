@@ -32,6 +32,7 @@ from .exactreal import (
     to_interval,
     value_add,
     value_floor,
+    value_frac,
     value_mul,
     value_sign,
 )
@@ -185,19 +186,10 @@ class EvalResult:
     def to_float(self) -> float:
         return self.enclosure.to_float()
 
-    def fraction(self) -> Fraction:
-        if self.exact is None or not isinstance(self.exact, Fraction):
-            raise ValueError("not an exact rational value")
-        return self.exact
-
 
 def _eval_node(expr: GpExpr, n: int, bits: int, use_exact: bool):
     if isinstance(expr, Const):
-        if use_exact:
-            ex = expr.value.exact()
-            if ex is not None:
-                return ex
-        return expr.value.enclosure(bits)
+        return expr.value.value(bits) if use_exact else expr.value.enclosure(bits)
     if isinstance(expr, Var):
         if use_exact:
             return Fraction(n)
@@ -248,10 +240,9 @@ def eval_gp_int(expr: GpExpr, n: int,
 class Seq:
     """Lazily evaluated, cached integer-indexed sequence."""
 
-    def __init__(self, fn: Callable[[int], object], name: str = "",
+    def __init__(self, fn: Callable[[int], object],
                  count_below: Optional[Callable[[int], int]] = None):
         self.fn = fn
-        self.name = name
         self._cache: dict[int, object] = {}
         self._count_below = count_below
 
@@ -281,13 +272,13 @@ def floor_poly_mod(coeffs: Sequence, m: int,
     def fn(n: int) -> int:
         return eval_gp_int(expr, n, policy) % m
 
-    return Seq(fn, name=f"floor_poly mod {m}")
+    return Seq(fn)
 
 
 def seq_from_dfao(dfao) -> Seq:
     from .automaton import count_accepted_below
 
-    return Seq(dfao.eval, name="dfao",
+    return Seq(dfao.eval,
                count_below=lambda bound: count_accepted_below(dfao, bound))
 
 
@@ -458,8 +449,7 @@ def fractional_part_value(expr: GpExpr, n: int,
 
     def at(bits: int) -> Fraction:
         v = value_mul(_eval_node(expr, n, bits, True), Fraction(scale), bits)
-        frac = value_add(v, Fraction(-value_floor(v)), bits)
-        return to_interval(frac, 64).midpoint()
+        return to_interval(value_frac(v, bits), 64).midpoint()
 
     return decide(at, policy)
 
@@ -530,14 +520,15 @@ class CompareReport:
 
 
 def set_compare(pred1: Callable[[int], int], pred2: Callable[[int], int],
-                lo: int, hi: int, example_cap: int = 10**4) -> CompareReport:
-    """Exact symmetric-difference report of two {0,1} predicates on [lo, hi)."""
+                lo: int, hi: int) -> CompareReport:
+    """Exact symmetric-difference report of two {0,1} predicates on [lo, hi);
+    the first 10^4 disagreements are kept as examples."""
     examples = []
     count = 0
     for n in range(lo, hi):
         if pred1(n) != pred2(n):
             count += 1
-            if len(examples) < example_cap:
+            if len(examples) < 10**4:
                 examples.append(n)
     return CompareReport(lo, hi, count, examples, count > len(examples))
 

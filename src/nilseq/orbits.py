@@ -23,45 +23,16 @@ from .exactreal import (
     default_policy,
     exact_add,
     exact_compare,
+    exact_is_integer,
     exact_mul,
-    exact_neg,
-    exact_sign,
     to_interval,
     value_add,
+    value_compare,
+    value_dist,
     value_floor,
+    value_frac,
     value_mul,
-    value_sign,
 )
-
-
-def _as_value(x, bits: int) -> Value:
-    if isinstance(x, ExactReal):
-        ex = x.exact()
-        return ex if ex is not None else x.enclosure(bits)
-    if isinstance(x, int):
-        return Fraction(x)
-    return x
-
-
-def _vfrac(x: Value, bits: int) -> Value:
-    return value_add(x, Fraction(-value_floor(x)), bits)
-
-
-def _vnearest(x: Value, bits: int) -> int:
-    return value_floor(value_add(x, Fraction(1, 2), bits))
-
-
-def _vdist_to_int(x: Value, bits: int) -> Value:
-    m = _vnearest(x, bits)
-    y = value_add(x, Fraction(-m), bits)
-    if isinstance(y, IntervalValue):
-        lo, hi = y.lower, y.upper
-        if lo >= 0:
-            return y
-        if hi <= 0:
-            return -y
-        return IntervalValue(Fraction(0), max(-lo, hi), y.precision_bits)
-    return y if exact_sign(y) >= 0 else exact_neg(y)
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +51,9 @@ class TorusSkewSystem:
     coeffs: tuple  # a_1 .. a_d, exact values or ExactReal
     a0: object = 0
 
+    def __post_init__(self):
+        self.coeffs = tuple(ExactReal.from_exact(c) for c in self.coeffs)
+
     @property
     def d(self) -> int:
         return len(self.coeffs)
@@ -87,9 +61,9 @@ class TorusSkewSystem:
     @classmethod
     def from_poly(cls, poly_coeffs: Sequence, m: int) -> "TorusSkewSystem":
         """Binomial-basis coefficients of p(x)/m by exact finite differences."""
-        coeffs = [exact_mul(_as_value(c, 64), Fraction(1, m))
+        coeffs = [exact_mul(ExactReal.from_exact(c).value(64), Fraction(1, m))
                   for c in poly_coeffs]
-        if any(c is None or isinstance(c, IntervalValue) for c in coeffs):
+        if None in coeffs:
             raise ValueError("from_poly needs exact coefficients in one field")
         deg = len(coeffs) - 1
 
@@ -114,19 +88,20 @@ class TorusSkewSystem:
         return tuple([Fraction(0)] * (self.d - 1) + [self.a0])
 
     def step(self, point: tuple, bits: int = 64) -> tuple:
-        vals = [_as_value(x, bits) for x in point]
-        coeffs = [_as_value(c, bits) for c in self.coeffs]
+        """One application of the map to a point of values."""
+        coeffs = [c.value(bits) for c in self.coeffs]
         out = []
         for j in range(self.d):
-            acc = vals[j]
+            acc = point[j]
             if j > 0:
-                acc = value_add(acc, vals[j - 1], bits)
+                acc = value_add(acc, point[j - 1], bits)
             acc = value_add(acc, coeffs[self.d - 1 - j], bits)
-            out.append(_vfrac(acc, bits))
+            out.append(value_frac(acc, bits))
         return tuple(out)
 
     def iterate(self, z0: tuple, n: int, bits: int = 64) -> tuple:
-        point = tuple(_vfrac(_as_value(x, bits), bits) for x in z0)
+        point = tuple(value_frac(ExactReal.from_exact(x).value(bits), bits)
+                      for x in z0)
         for _ in range(n):
             point = self.step(point, bits)
         return point
@@ -134,8 +109,8 @@ class TorusSkewSystem:
     def closed_form(self, z0: tuple, n: int, bits: int = 64) -> tuple:
         """(T^n z)_j = z_j + sum_{k<j} C(n, j-k) z_k + sum_i a_{d-j+i} C(n,i),
         reduced mod 1."""
-        vals = [_as_value(x, bits) for x in z0]
-        coeffs = [_as_value(c, bits) for c in self.coeffs]
+        vals = [ExactReal.from_exact(x).value(bits) for x in z0]
+        coeffs = [c.value(bits) for c in self.coeffs]
         out = []
         for j in range(1, self.d + 1):
             acc = vals[j - 1]
@@ -147,7 +122,7 @@ class TorusSkewSystem:
                 acc = value_add(acc, value_mul(coeffs[self.d - j + i - 1],
                                                Fraction(math.comb(n, i)), bits),
                                 bits)
-            out.append(_vfrac(acc, bits))
+            out.append(value_frac(acc, bits))
         return tuple(out)
 
 
@@ -171,9 +146,11 @@ def skew_orbit_point(sys: TorusSkewSystem, z0: Optional[tuple], n: int,
     return decide(run)
 
 
-def values_agree(a: Value, b: Value, tol: Fraction = Fraction(1, 1 << 40)) -> bool:
+def values_agree(a: Value, b: Value) -> bool:
+    """Exact equality, or enclosures at 64 bits within 2^-40 of meeting."""
     if not isinstance(a, IntervalValue) and not isinstance(b, IntervalValue):
         return exact_compare(a, b) == 0
+    tol = Fraction(1, 1 << 40)
     ia, ib = to_interval(a, 64), to_interval(b, 64)
     return not (ia.upper + tol < ib.lower or ib.upper + tol < ia.lower)
 
@@ -230,15 +207,14 @@ def heisenberg_fracpart(alpha, beta, n: int, cross_check: bool = True) -> tuple:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
+    alpha, beta = ExactReal.from_exact(alpha), ExactReal.from_exact(beta)
 
     def run(bits):
-        a = _as_value(alpha, bits)
-        b = _as_value(beta, bits)
-        na = value_mul(a, Fraction(n), bits)
-        nb = value_mul(b, Fraction(n), bits)
-        f1 = _vfrac(value_mul(na, Fraction(-1), bits), bits)
-        f2 = _vfrac(nb, bits)
-        f3 = _vfrac(value_mul(na, Fraction(value_floor(nb)), bits), bits)
+        na = value_mul(alpha.value(bits), Fraction(n), bits)
+        nb = value_mul(beta.value(bits), Fraction(n), bits)
+        f1 = value_frac(value_mul(na, Fraction(-1), bits), bits)
+        f2 = value_frac(nb, bits)
+        f3 = value_frac(value_mul(na, Fraction(value_floor(nb)), bits), bits)
         closed = (f1, f2, f3)
         if cross_check:
             g = (value_mul(na, Fraction(-1), bits), nb, Fraction(0))
@@ -300,7 +276,7 @@ def dist_lt_eps(dist: Value, n: int, eps: EpsilonSchedule, bits: int = 96) -> bo
     for _ in range(q - 1):
         lhs = value_mul(lhs, dist, bits)
     lhs = value_mul(lhs, Fraction(n**p), bits)
-    return value_sign(value_add(lhs, -eps.c**q, bits)) < 0
+    return value_compare(lhs, eps.c**q, bits) < 0
 
 
 @dataclass
@@ -321,13 +297,13 @@ def suffix_hit_scan(alpha, beta, eps: EpsilonSchedule, base: int,
     if first == 0 and len(suffix) > 0:
         first = step  # n = 0 has the empty expansion
     n = first if first > 0 else 1
+    alpha, beta = ExactReal.from_exact(alpha), ExactReal.from_exact(beta)
 
     def hit_at(bits: int):
-        a = _as_value(alpha, bits)
-        b = _as_value(beta, bits)
-        nb = value_mul(b, Fraction(n), bits)
-        x = value_mul(value_mul(a, Fraction(n), bits), Fraction(value_floor(nb)), bits)
-        dist = _vdist_to_int(x, bits)
+        nb = value_mul(beta.value(bits), Fraction(n), bits)
+        x = value_mul(value_mul(alpha.value(bits), Fraction(n), bits),
+                      Fraction(value_floor(nb)), bits)
+        dist = value_dist(x, bits)
         return dist, dist_lt_eps(dist, n, eps, bits)
 
     policy = default_policy()
@@ -364,46 +340,36 @@ def horizontal_character_probe(alpha, beta, t: int, l_bound: int,
     if l_bound < 1:
         raise ValueError("l_bound must be >= 1")
     scale = Fraction(base**t)
+    alpha, beta = ExactReal.from_exact(alpha), ExactReal.from_exact(beta)
     best_pair = None
     best_val: Optional[Value] = None
 
     def dist_for(l1: int, l2: int, bits: int):
-        a = _as_value(alpha, bits)
-        b = _as_value(beta, bits)
-        comb = value_add(value_mul(a, Fraction(l1), bits),
-                         value_mul(b, Fraction(l2), bits), bits)
-        comb = value_mul(comb, scale, bits)
-        return _vdist_to_int(comb, bits)
-
-    def best_at(bits: int) -> Value:
-        """The best distance so far, recomputed at these bits when it is
-        enclosure-backed."""
-        if isinstance(best_val, IntervalValue):
-            return dist_for(*best_pair, bits)
-        return best_val
+        comb = value_add(value_mul(alpha.value(bits), Fraction(l1), bits),
+                         value_mul(beta.value(bits), Fraction(l2), bits), bits)
+        return value_dist(value_mul(comb, scale, bits), bits)
 
     def closer(bits: int):
-        """The current pair's distance, and whether it beats the best so far."""
+        """The current pair's distance, and whether it beats the best so
+        far (recomputed at these bits: an enclosure may need more)."""
         val = dist_for(l1, l2, bits)
-        if best_pair is None or (not isinstance(val, IntervalValue)
-                                 and exact_sign(val) == 0):
+        if best_pair is None or exact_is_integer(val) == 0:
             return val, True
-        minus_best = value_mul(best_at(bits), Fraction(-1), bits)
-        return val, value_sign(value_add(val, minus_best, bits)) < 0
+        return val, value_compare(val, dist_for(*best_pair, bits), bits) < 0
 
     policy = default_policy()
     for l1 in range(-l_bound, 1):
         for l2 in range(-l_bound, l_bound + 1 if l1 < 0 else 0):
             val, better = decide(closer, policy)
-            if not isinstance(val, IntervalValue) and exact_sign(val) == 0:
+            if exact_is_integer(val) == 0:
                 return ProbeReport((l1, l2), None, True, l_bound, None)
             if better:
                 best_val = val
                 best_pair = (l1, l2)
     above = None
     if threshold is not None:
-        above = decide(lambda bits: value_sign(
-            value_add(best_at(bits), -Fraction(threshold), bits)) > 0, policy)
+        above = decide(lambda bits: value_compare(
+            dist_for(*best_pair, bits), Fraction(threshold), bits) > 0, policy)
     return ProbeReport(best_pair, to_interval(best_val, 96), False, l_bound, above)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .exactreal import (
     CubicElem,
@@ -30,12 +30,14 @@ from .exactreal import (
     IntervalValue,
     PrecisionPolicy,
     cubic_inverse,
+    exact_abs,
     exact_add,
     exact_compare,
+    exact_dist,
     exact_enclosure,
-    exact_floor,
     exact_mul,
     exact_neg,
+    exact_nearest,
     exact_sign,
     make_quad,
 )
@@ -95,11 +97,11 @@ def quadratic_member(a: int, n: int) -> bool:
     return (c * n - 1) ** 2 < lhs < (c * n + 1) ** 2
 
 
-def scan_quadratic_set(a: int, horizon: int, start: int = 1) -> list[int]:
-    """All n in [start, horizon] with ||n*alpha|| < 1/(2n)."""
+def scan_quadratic_set(a: int, horizon: int) -> list[int]:
+    """All n in [1, horizon] with ||n*alpha|| < 1/(2n)."""
     disc = a * a + 4
     out = []
-    for n in range(max(start, 1), horizon + 1):
+    for n in range(1, horizon + 1):
         t = math.isqrt(n * n * disc)
         c = t if (t - a * n) % 2 == 0 else t + 1
         lhs = n**4 * disc
@@ -111,12 +113,7 @@ def scan_quadratic_set(a: int, horizon: int, start: int = 1) -> list[int]:
 def quadratic_margin(a: int, n: int) -> Exact:
     """n * ||n*alpha|| as an exact quadratic surd (tends to 1/sqrt(a^2+4))."""
     params = QuadraticParams.of(a)
-    x = exact_mul(params.alpha, Fraction(n))
-    m = exact_floor(exact_add(x, Fraction(1, 2)))
-    diff = exact_add(x, Fraction(-m))
-    if exact_sign(diff) < 0:
-        diff = exact_neg(diff)
-    return exact_mul(diff, Fraction(n))
+    return exact_mul(exact_dist(exact_mul(params.alpha, Fraction(n))), Fraction(n))
 
 
 def fibonacci_like_set(a: int,
@@ -302,7 +299,6 @@ class BestApproxRecord:
     q: int
     nearest: tuple[int, int]
     norm_sq: CubicElem
-    is_best: bool
 
     def norm_enclosure(self, bits: int = 96) -> IntervalValue:
         return exact_enclosure(self.norm_sq, 2 * bits).sqrt(bits)
@@ -312,15 +308,13 @@ class BestApproxRecord:
 class BestApproxReport:
     q_max: int
     flagged: list[BestApproxRecord]
-    norm_sq_of: dict[int, CubicElem]
 
     @property
     def flagged_qs(self) -> list[int]:
         return [rec.q for rec in self.flagged]
 
 
-def best_approximations(params: PisotCubicParams, q_max: int,
-                        track: Iterable[int] = ()) -> BestApproxReport:
+def best_approximations(params: PisotCubicParams, q_max: int) -> BestApproxReport:
     """Running-minimum scan of N0(q theta) for q = 1..q_max.
 
     q is flagged best when its distance strictly beats every smaller q.
@@ -329,19 +323,15 @@ def best_approximations(params: PisotCubicParams, q_max: int,
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
-    track = set(track)
     flagged: list[BestApproxRecord] = []
-    norm_sq_of: dict[int, CubicElem] = {}
     running: Optional[CubicElem] = None
     for q in range(1, q_max + 1):
         val, point = _lattice_min(params, q, radius=2)
-        if q in track:
-            norm_sq_of[q] = val
         if running is None or params.zb_sign(
                 exact_add(val, exact_neg(running))) < 0:
-            flagged.append(BestApproxRecord(q, point, val, True))
+            flagged.append(BestApproxRecord(q, point, val))
             running = val
-    return BestApproxReport(q_max, flagged, norm_sq_of)
+    return BestApproxReport(q_max, flagged)
 
 
 def cubic_terms(a: int, b: int, count: int) -> list[int]:
@@ -366,11 +356,6 @@ def increasing_from(terms: Sequence[int]) -> int:
 # the closed-form predicate
 
 
-def _cubic_nearest(params: PisotCubicParams, x: CubicElem) -> int:
-    """<<x>> = floor(x + 1/2), exact."""
-    return exact_floor(exact_add(x, Fraction(1, 2)))
-
-
 class PisotGpPredicate:
     """q-predicate h(q)^2 < 1/g(q) tracking the best approximations.
 
@@ -386,7 +371,7 @@ class PisotGpPredicate:
     precision-tuned answers.
     """
 
-    def __init__(self, params: PisotCubicParams, calibration_qmax: int = 400):
+    def __init__(self, params: PisotCubicParams):
         self.params = params
         # (b beta + 1)/beta^2
         self.c1 = exact_mul(params.field.element(1, params.b), params.beta_inv2)
@@ -394,11 +379,12 @@ class PisotGpPredicate:
         # beta * Re(alpha + b/beta) = beta (a - beta)/2 + b
         self.beta_re = exact_add(exact_mul(params.beta, params.alpha_re),
                                  Fraction(params.b))
-        self._record_const = self._calibrate(calibration_qmax)
+        self._record_const = self._calibrate()
         self.threshold = exact_mul(self._record_const, Fraction(2))
 
-    def _calibrate(self, q_max: int) -> CubicElem:
+    def _calibrate(self) -> CubicElem:
         flags: list[int] = []
+        q_max = 400
         while q_max <= 1 << 22:
             flags = best_approximations(self.params, q_max).flagged_qs
             if len(flags) >= 6:
@@ -417,12 +403,12 @@ class PisotGpPredicate:
         """(q, q/beta, q/beta^2, <<q/beta>>): what g(q) and h(q) share."""
         p = self.params
         x1 = exact_mul(p.beta_inv, Fraction(q))
-        return q, x1, exact_mul(p.beta_inv2, Fraction(q)), _cubic_nearest(p, x1)
+        return q, x1, exact_mul(p.beta_inv2, Fraction(q)), exact_nearest(x1)
 
     def _g(self, terms) -> CubicElem:
         q, _, y, p1 = terms
         p = self.params
-        p2 = _cubic_nearest(p, y)
+        p2 = exact_nearest(y)
         acc = exact_add(p.field.element(q), exact_mul(self.c1, Fraction(p1)))
         acc = exact_add(acc, exact_mul(self.c2, Fraction(p2)))
         return acc  # this is g(q) * m1^2
@@ -431,7 +417,7 @@ class PisotGpPredicate:
         _, x1, y, p1 = terms
         p = self.params
         x1 = exact_add(x1, Fraction(-p1))
-        p2 = _cubic_nearest(p, exact_add(exact_mul(self.beta_re, x1), y))
+        p2 = exact_nearest(exact_add(exact_mul(self.beta_re, x1), y))
         return p.norm_sq(x1, exact_add(y, Fraction(-p2)))
 
     def g_value(self, q: int) -> CubicElem:
@@ -481,7 +467,6 @@ class NearestPowerReport:
     max_residual: float
     residual_from: int
     residual_ok: bool
-    translation_checked: tuple[int, int]
     translation_ok: bool
 
     @property
@@ -499,24 +484,20 @@ def leading_coefficient(params: PisotCubicParams) -> CubicElem:
     return exact_mul(g_beta, cubic_inverse(p_prime))
 
 
-def nearest_power_set_equiv(params: PisotCubicParams, horizon: int = 40,
-                            residual_from: int = 32,
-                            residual_tol: float = 1e-3,
-                            translate_range: tuple[int, int] = (10, 40)
-                            ) -> NearestPowerReport:
-    """Check R_n = u beta^n + o(1) and the translation criterion
+def nearest_power_set_equiv(params: PisotCubicParams) -> NearestPowerReport:
+    """Check R_n = u beta^n + o(1) (|residual| < 10^-3 for 32 <= n <= 40)
+    and, for 10 <= n <= 40, the translation criterion
     m = <<beta^n>> iff <<u m>> = R_n and ||u m|| < |u|/2."""
+    residual_from = 32
     u = leading_coefficient(params)
     if u.is_zero():
         raise AssertionError("u = 0 would force the sequence to vanish")
-    terms = cubic_terms(params.a, params.b, horizon + 1)
+    terms = cubic_terms(params.a, params.b, 41)
     beta_pow = params.field.element(1)
     max_res = 0.0
     translation_ok = True
-    abs_u = u if exact_sign(u) > 0 else exact_neg(u)
-    half_u = exact_mul(abs_u, Fraction(1, 2))
-    lo_t, hi_t = translate_range
-    for n in range(horizon + 1):
+    half_u = exact_mul(exact_abs(u), Fraction(1, 2))
+    for n in range(41):
         if n > 0:
             beta_pow = exact_mul(beta_pow, params.beta)
         diff = exact_add(params.field.element(terms[n]),
@@ -524,15 +505,10 @@ def nearest_power_set_equiv(params: PisotCubicParams, horizon: int = 40,
         res = abs(exact_enclosure(diff, 96).to_float())
         if n >= residual_from:
             max_res = max(max_res, res)
-        if lo_t <= n <= hi_t:
-            s_n = exact_floor(exact_add(beta_pow, Fraction(1, 2)))
-            um = exact_mul(u, Fraction(s_n))
-            near = exact_floor(exact_add(um, Fraction(1, 2)))
-            dist = exact_add(um, Fraction(-near))
-            if exact_sign(dist) < 0:
-                dist = exact_neg(dist)
-            if near != terms[n] or exact_compare(dist, half_u) >= 0:
+        if n >= 10:
+            um = exact_mul(u, Fraction(exact_nearest(beta_pow)))
+            if (exact_nearest(um) != terms[n]
+                    or exact_compare(exact_dist(um), half_u) >= 0):
                 translation_ok = False
-    return NearestPowerReport(u.c, max_res, residual_from,
-                              max_res < residual_tol,
-                              translate_range, translation_ok)
+    return NearestPowerReport(u.c, max_res, residual_from, max_res < 1e-3,
+                              translation_ok)

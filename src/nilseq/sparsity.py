@@ -147,10 +147,6 @@ class BasicPattern:
     def pumps(self) -> tuple[tuple[int, ...], ...]:
         return self.parts[1::2]
 
-    @property
-    def connectors(self) -> tuple[tuple[int, ...], ...]:
-        return self.parts[0::2]
-
     def word(self, exponents: Sequence[int]) -> tuple[int, ...]:
         out: list[int] = []
         for i, part in enumerate(self.parts):
@@ -630,9 +626,10 @@ def _linreg(xs: Sequence[float], ys: Sequence[float]):
     return slope, intercept, r2
 
 
-def growth_census(dfao: Dfao, n_grid: Sequence[int], window_count_: int = 6,
-                  seed: int = 20160517, window_span: int = 1 << 31) -> GrowthReport:
-    """Exact counts nu(N) on the grid with a regime classification.
+def growth_census(dfao: Dfao, n_grid: Sequence[int],
+                  seed: int = 20160517) -> GrowthReport:
+    """Exact counts nu(N) on the grid with a regime classification, and
+    the largest count among six seeded windows [M, M + N), M < 2^31.
 
     Power-law when the (log N, log nu) slope is >= 0.2 with R^2 >= 0.99;
     otherwise poly-log when nu(N) <= (log2 N)^8 throughout; else
@@ -645,8 +642,8 @@ def growth_census(dfao: Dfao, n_grid: Sequence[int], window_count_: int = 6,
     window_stats = []
     for n, _ in samples:
         best = 0
-        for _ in range(window_count_):
-            m0 = rng.randrange(window_span)
+        for _ in range(6):
+            m0 = rng.randrange(1 << 31)
             cnt = count_accepted_below(dfao, m0 + n) - count_accepted_below(dfao, m0)
             best = max(best, cnt)
         window_stats.append((n, best))

@@ -92,7 +92,7 @@ def per_residue_kernel(dfao, state_cap=10**6, map_entry_cap=4096):
         raise ValueError("kernel requires a leading-zero invariant automaton")
     if lsd.n_states > state_cap:
         raise BudgetExceeded("kernel state closure exceeded cap")
-    block = _canonical_partition(lsd)
+    block = _canonical_partition(lsd, lsd.reachable_states())
     k = lsd.base
 
     def class_key(s):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nilseq.exactreal import (
     CubicElem,
@@ -25,6 +25,10 @@ from nilseq.exactreal import (
     exact_sign,
     cubic_inverse,
     make_quad,
+    value_compare,
+    value_dist,
+    value_frac,
+    value_nearest,
 )
 
 SQRT2 = make_quad(0, 1, 2)
@@ -355,3 +359,51 @@ def test_surds_match_mpmath(case):
             assert iv.precision_bits == bits
             assert _mp(iv.lower) <= v <= _mp(iv.upper)
 
+
+
+# --- the rounding vocabulary: exact values against their enclosures ----------
+
+
+@st.composite
+def exact_values(draw):
+    """A quadratic surd, a surd sum or product (as ``surds`` draws them), or
+    an element of one of the CUBICS fields."""
+    if draw(st.booleans()):
+        return draw(surds())[0]
+    field = CubicField(*draw(st.sampled_from(CUBICS)))
+    nums = draw(st.tuples(*[st.integers(-10**6, 10**6)] * 3))
+    return CubicElem(field, *nums, draw(st.integers(1, 1000)))
+
+
+def _encloses(iv: IntervalValue, x) -> bool:
+    return exact_compare(x, iv.lower) >= 0 and exact_compare(x, iv.upper) <= 0
+
+
+@given(exact_values(), st.sampled_from([0, 4, 16, 64]),
+       st.one_of(st.none(), st.fractions(min_value=-10**3, max_value=10**3,
+                                         max_denominator=100)))
+# sqrt2 - 1.437 is about -0.023; at 4 bits x - <<x>> is enclosed in
+# [-31/500, 1/2000], so the distance needs the lower end
+@example(make_quad(Fraction(-1437, 1000), 1, 2), 4, None)
+@settings(max_examples=300, deadline=None)
+def test_rounding_exact_agrees_with_enclosure(x, bits, y):
+    iv = exact_enclosure(x, bits)
+    if y is None:  # near x, so that the comparison needs the exact layer
+        y = exact_enclosure(x, 8).midpoint()
+    dist = value_dist(x, bits)
+    assert exact_compare(dist, Fraction(0)) >= 0
+    assert exact_compare(dist, Fraction(1, 2)) <= 0
+    checks = (
+        (lambda v: value_nearest(v, bits), lambda a, b: a == b),
+        (lambda v: value_frac(v, bits), lambda a, b: _encloses(b, a)),
+        (lambda v: value_dist(v, bits),
+         lambda a, b: _encloses(b, a) and b.lower >= 0),
+        (lambda v: value_compare(v, y, bits), lambda a, b: a == b),
+    )
+    for call, agree in checks:
+        exact = call(x)
+        try:
+            from_enclosure = call(iv)
+        except NeedsMoreBits:
+            continue
+        assert agree(exact, from_enclosure)

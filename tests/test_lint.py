@@ -6,8 +6,9 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-MODULES = sorted(p for p in (ROOT / "src" / "nilseq").glob("*.py")
-                 if p.name != "__init__.py") + sorted((ROOT / "scripts").glob("*.py"))
+LIBRARY = sorted((ROOT / "src" / "nilseq").glob("*.py"))
+MODULES = [p for p in LIBRARY if p.name != "__init__.py"] + sorted(
+    (ROOT / "scripts").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -97,3 +98,48 @@ def test_unnamed_nested_defs_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unnamed_nested_defs(path):
     assert unnamed_nested_defs(path.read_text()) == []
+
+
+def unreferenced_public_defs(modules: dict[str, str],
+                             sources: list[str]) -> list[str]:
+    """Public functions and methods of the modules (name -> source) whose
+    name no source reads as a name or an attribute; dunders are exempt,
+    and a mention in a string or docstring does not count."""
+    used = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            defs = [(node.name, node)] if isinstance(node, funcs) else []
+            if isinstance(node, ast.ClassDef):
+                defs = [(f"{node.name}.{sub.name}", sub) for sub in node.body
+                        if isinstance(sub, funcs)]
+            for qualname, d in defs:
+                if not d.name.startswith("_") and d.name not in used:
+                    found.append(f"{module}:{qualname}")
+    return sorted(found)
+
+
+def test_unreferenced_public_defs_are_found():
+    module = ("def used(): pass\ndef dead(): pass\ndef _private(): pass\n"
+              "class C:\n"
+              "    \"\"\"dead, gone: a docstring is no reference.\"\"\"\n"
+              "    def called(self): pass\n"
+              "    def gone(self): pass\n"
+              "    def __repr__(self): pass\n")
+    caller = "from m import used\nused()\nC().called()\nprint('gone')\n"
+    assert unreferenced_public_defs({"m": module}, [module, caller]) == [
+        "m:C.gone", "m:dead"]
+
+
+def test_no_unreferenced_public_defs():
+    sources = [p.read_text() for d in ("src", "scripts", "perfbench", "tests")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    modules = {p.name: p.read_text() for p in LIBRARY}
+    assert unreferenced_public_defs(modules, sources) == []

@@ -194,7 +194,7 @@ def test_best_approx_scale_free():
 def test_m_ratio_along_best_sequence():
     # m_{q_n} = m1 |alpha|^n along the flagged sequence, checked exactly
     p = pisot_cubic_check(1, 0)
-    rep = best_approximations(p, 1300, track=())
+    rep = best_approximations(p, 1300)
     flagged = rep.flagged
     beta_pow = p.field.element(1)
     for j, rec in enumerate(flagged[:20]):
