@@ -72,6 +72,7 @@ from .recurrence import (
     nearest_power_set_equiv,
     pisot_cubic_check,
     pisot_gp_set,
+    quadratic_member,
     quadratic_terms,
     scan_quadratic_set,
 )
@@ -539,7 +540,6 @@ def _verify_certificate(cert: dict) -> dict:
             return {"type": kind, "ok": chk.ok == cert["ok"]}
         if kind == "quadratic_set":
             a = cert["a"]
-            from .recurrence import quadratic_member
             for n in cert["members_first"]:
                 if not quadratic_member(a, n):
                     return {"type": kind, "ok": False, "detail": f"{n} is not a member"}
@@ -567,7 +567,7 @@ def _verify_certificate(cert: dict) -> dict:
                     return {"type": kind, "ok": False, "detail": f"{q} not in gp-set"}
             return {"type": kind, "ok": True}
         return {"type": kind, "ok": False, "detail": "unknown certificate type"}
-    except Exception as exc:  # pragma: no cover - defensive
+    except (KeyError, TypeError, ValueError) as exc:  # a malformed certificate
         return {"type": kind, "ok": False, "detail": repr(exc)}
 
 

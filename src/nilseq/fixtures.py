@@ -11,6 +11,7 @@ from .automaton import (
     parity_acceptor,
     powers_acceptor,
 )
+from .digits import to_digits
 from .sparsity import decomposition_to_dfao, make_decomposition
 
 
@@ -27,8 +28,6 @@ def rank1_tail_acceptor() -> Dfao:
 
 
 def finite_set_acceptor(values=(3, 17, 29), base: int = 2) -> Dfao:
-    from .digits import to_digits
-
     decomp = make_decomposition(base, [[tuple(to_digits(v, base))] for v in values])
     return decomposition_to_dfao(decomp)
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+from .automaton import count_accepted_below
 from .exactreal import (
     Exact,
     ExactReal,
@@ -276,8 +277,6 @@ def floor_poly_mod(coeffs: Sequence, m: int,
 
 
 def seq_from_dfao(dfao) -> Seq:
-    from .automaton import count_accepted_below
-
     return Seq(dfao.eval,
                count_below=lambda bound: count_accepted_below(dfao, bound))
 

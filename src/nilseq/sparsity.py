@@ -19,6 +19,7 @@ from .automaton import (
     BudgetExceeded,
     Dfao,
     ReadingOrder,
+    base_power,
     breadth_first,
     count_accepted_below,
     determinize,
@@ -30,6 +31,7 @@ from .automaton import (
     word_to,
 )
 from .digits import from_digits, from_digits_lsd, to_digits
+from .ipsets import IpGenerators, IpsFamily, finite_sums, shifted_finite_sums
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +533,6 @@ class IpsWitness:
     verified_horizon: int
 
     def members(self, depth: int) -> list[tuple[int, tuple[int, ...], int]]:
-        from .ipsets import IpsFamily, IpGenerators, shifted_finite_sums
-
         fam = IpsFamily(IpGenerators(self.generators[:depth]),
                         self.shifts[:depth])
         return shifted_finite_sums(fam, depth)
@@ -799,8 +799,6 @@ def _entry_word(lsd: Dfao, from_initial: dict, target: int
 
 
 def _verify_ip_plus(w: IpPlusWitness, a: Callable[[int], int], depth: int):
-    from .ipsets import IpGenerators, finite_sums
-
     for v in finite_sums(IpGenerators(w.generators[:depth]), depth):
         if a(v + w.shift) != 1:
             raise AssertionError(f"shifted sum {v + w.shift} not a member")
@@ -826,182 +824,42 @@ class NormalForm:
         return VerySparseDecomposition(self.block_base, tuple(pats))
 
 
-class _Blocks:
-    """One basic set in block form: member = prod v_i w_i^{l_i} (MSD)."""
-
-    def __init__(self, pairs: list[tuple[tuple[int, ...], tuple[int, ...]]]):
-        self.pairs = pairs  # list of (connector, pump); only last pump may be empty
-
-    @classmethod
-    def from_pattern(cls, pat: BasicPattern) -> "_Blocks":
-        parts = list(pat.parts)
-        pairs = []
-        for i in range(1, len(parts), 2):
-            pairs.append((parts[i - 1], parts[i]))
-        if parts[-1]:
-            pairs.append((parts[-1], ()))
-        elif not pairs:
-            pairs.append(((), ()))
-        # merge interior empty pumps
-        merged = []
-        for conn, pump in pairs:
-            if merged and not merged[-1][1]:
-                pc, _ = merged.pop()
-                merged.append((pc + conn, pump))
-            else:
-                merged.append((conn, pump))
-        return cls(merged)
-
-    def to_pattern(self, base: int) -> BasicPattern:
-        parts: list[tuple[int, ...]] = []
-        for conn, pump in self.pairs:
-            parts.append(conn)
-            parts.append(pump)
-        if parts and not parts[-1]:
-            parts.pop()
-        else:
-            parts.append(())
-        return BasicPattern(base, tuple(parts))
-
-
 def normalize_arith_progression(decomp: VerySparseDecomposition,
                                 verify_bound: int = 1 << 40) -> NormalForm:
-    """Rewriting pipeline to a common-pump normal form on a progression.
+    """Common-pump normal form of the members on one arithmetic progression.
 
-    Steps: make all pump lengths equal to their lcm by exponent-residue
-    splitting; re-align connector lengths to multiples of that length by
-    rotating pumps (with the separate exponent-0 branch); pass to the block
-    base; absorb connectors that are pump powers; then pick the separating
-    suffix u from powered pumps of a maximal branch, intersect, and verify
-    by enumeration that the members of the output equal the members of the
-    input meeting the progression.
+    With M the lcm of the pump lengths, the member set is K-automatic for
+    K = k^M (Allouche-Shallit, *Automatic Sequences*, 6.6), so
+    ``classify(base_power(decomposition_to_dfao(decomp), M))`` gives both
+    its LSD value acceptor in base K and its block-base digit patterns.
+    The separating suffix is u = u1^c w1 u2^c ... ur^c wr, read off the
+    highest-rank block pattern w0 u1 w1 ... ur wr with c growing; the value
+    acceptor is intersected with the progression K^|u| Z + [u]_K, and the
+    intersection's patterns are reshaped into branches [v w^l u].  The
+    members of the result are verified by enumeration below
+    ``verify_bound`` to equal the input's members on the progression.
     """
-    k = decomp.base
     if not decomp.basic_sets:
         raise ValueError("finite (empty) set has no progression normal form")
-    all_pump_lengths = [len(u) for p in decomp.basic_sets for u in p.pumps if u]
-    if not all_pump_lengths:
+    pump_lengths = [len(u) for p in decomp.basic_sets for u in p.pumps if u]
+    if not pump_lengths:
         raise ValueError("finite set input: no pumps to normalize")
-    big_m = math.lcm(*all_pump_lengths)
-
-    # step 1: exponent-residue split so every pump has length big_m
-    split_sets: list[_Blocks] = []
-
-    def split_set(pairs, idx, acc):
-        if idx == len(pairs):
-            split_sets.append(_Blocks(list(acc)))
-            return
-        conn, pump = pairs[idx]
-        if not pump:
-            split_set(pairs, idx + 1, acc + [(conn, pump)])
-            return
-        reps = big_m // len(pump)
-        for rho in range(reps):
-            new_conn = conn + pump * rho
-            split_set(pairs, idx + 1, acc + [(new_conn, pump * reps)])
-
-    for pat in decomp.basic_sets:
-        blocks = _Blocks.from_pattern(pat)
-        split_set(blocks.pairs, 0, [])
-
-    # step 2: connector alignment (right to left), spawning exponent-0 branches
-    aligned: list[_Blocks] = []
-    work = list(split_sets)
-    while work:
-        blocks = work.pop()
-        pairs = [list(p) for p in blocks.pairs]
-        i = len(pairs) - 1
-        restart = False
-        while i >= 1:
-            conn = pairs[i][0]
-            if len(conn) % big_m != 0:
-                prev_pump = pairs[i - 1][1]
-                if not prev_pump:
-                    raise AssertionError("interior empty pump after merging")
-                need = (-len(conn)) % big_m
-                w1, w2 = prev_pump[:big_m - need], prev_pump[big_m - need:]
-                # l = 0 branch: drop the pump, merge connectors
-                zero_pairs = pairs[: i - 1] + \
-                    [[pairs[i - 1][0] + tuple(conn), pairs[i][1]]] + pairs[i + 1:]
-                work.append(_Blocks([(tuple(c), tuple(p)) for c, p in zero_pairs]))
-                # l >= 1 branch: v_{i-1} w' (w'' w')^{l-1} w'' v_i
-                pairs[i - 1][0] = tuple(pairs[i - 1][0]) + w1
-                pairs[i - 1][1] = w2 + w1
-                pairs[i][0] = w2 + tuple(conn)
-                restart = True
-            i -= 1
-        first_conn = pairs[0][0]
-        pad = (-len(first_conn)) % big_m
-        pairs[0][0] = (0,) * pad + tuple(first_conn)
-        aligned.append(_Blocks([(tuple(c), tuple(p)) for c, p in pairs]))
-
-    # step 3: pass to the block base K = k^big_m
-    big_k = k**big_m
-
-    def group(word: tuple[int, ...]) -> tuple[int, ...]:
-        assert len(word) % big_m == 0
-        return tuple(from_digits(word[i:i + big_m], k)
-                     for i in range(0, len(word), big_m))
-
-    block_sets: list[_Blocks] = []
-    for blocks in aligned:
-        pairs = [(group(c), group(p)) for c, p in blocks.pairs]
-        block_sets.append(_Blocks(pairs))
-
-    # step 4: absorb connectors that are powers of equal flanking pumps
-    for blocks in block_sets:
-        changed = True
-        while changed:
-            changed = False
-            pairs = blocks.pairs
-            for i in range(1, len(pairs)):
-                conn, pump = pairs[i]
-                prev_conn, prev_pump = pairs[i - 1]
-                same = prev_pump and (pump == prev_pump or
-                                      (not pump and i == len(pairs) - 1))
-                if same and conn and all(d == prev_pump[0] for d in conn) \
-                        and len(prev_pump) == 1:
-                    if pump == prev_pump:
-                        # merge the two pumps; push the power right
-                        nxt = pairs[i + 1] if i + 1 < len(pairs) else None
-                        pairs[i - 1] = (prev_conn, prev_pump)
-                        if nxt is not None:
-                            pairs[i + 1] = (conn + nxt[0], nxt[1])
-                            del pairs[i]
-                        else:
-                            pairs[i] = (conn, ())
-                        changed = True
-                        break
-                    else:
-                        # trailing connector is a pump power: commute left
-                        pairs[i - 1] = (prev_conn + conn, prev_pump)
-                        pairs[i] = ((), ())
-                        if i == len(pairs) - 1 and pairs[i] == ((), ()):
-                            del pairs[i]
-                        changed = True
-                        break
-
-    # step 5: choose u from a branch with the most pumps, with growing power
-    best = max(block_sets, key=lambda b: sum(1 for _, p in b.pairs if p))
-    t_max = max(len(c) for b in block_sets for c, _ in b.pairs)
-    base_decomp = VerySparseDecomposition(
-        big_k, tuple(b.to_pattern(big_k) for b in block_sets))
+    big_m = math.lcm(*pump_lengths)
+    big_k = decomp.base**big_m
+    cls = classify(base_power(decomposition_to_dfao(decomp), big_m))
+    blocks = cls.decomposition.basic_sets
+    best = max(blocks, key=lambda p: p.rank)
+    t_max = max(len(w) for p in blocks for w in p.parts[::2])
+    members = enumerate_members(decomp, verify_bound)
 
     last_error = None
     for c_exp in list(range(1, t_max + 2)) + [2 * (t_max + 2)]:
-        u: tuple[int, ...] = ()
-        for idx, (conn, pump) in enumerate(best.pairs):
-            if idx > 0:
-                u = u + conn
-            u = u + pump * c_exp
-        if not u:
-            break
+        u = best.word([c_exp] * best.rank)[len(best.parts[0]):]
         try:
-            return _intersect_and_shape(decomp, base_decomp, big_k, big_m, u,
-                                        verify_bound)
+            return _intersect_and_shape(decomp.base, cls.lsd, members, big_k,
+                                        u, verify_bound)
         except _ShapeRetry as exc:
             last_error = exc
-            continue
     raise BudgetExceeded(f"normal form not reached: {last_error}")
 
 
@@ -1028,12 +886,12 @@ def _lsd_prefix_dfao(base: int, u: tuple[int, ...]) -> Dfao:
     return Dfao(base, tuple(table), tuple(outs), 0, ReadingOrder.LSD)
 
 
-def _intersect_and_shape(original: VerySparseDecomposition,
-                         base_decomp: VerySparseDecomposition,
-                         big_k: int, big_m: int, u: tuple[int, ...],
+def _intersect_and_shape(base: int, value_lsd: Dfao, members: list[int],
+                         big_k: int, u: tuple[int, ...],
                          verify_bound: int) -> NormalForm:
-    value_dfao = decomposition_to_dfao(base_decomp)
-    value_lsd = to_lsd(value_dfao)
+    """The normal form on big_k^|u| Z + [u]_big_k of the set that the LSD
+    automaton ``value_lsd`` accepts, checked against ``members``, the
+    input's members below ``verify_bound``."""
     suffix_dfao = _lsd_prefix_dfao(big_k, tuple(reversed(u)))
     inter = product(value_lsd, suffix_dfao, lambda a, b: a * b)
     cls = classify(inter)
@@ -1079,12 +937,11 @@ def _intersect_and_shape(original: VerySparseDecomposition,
         pump_words.add(tuple(pump))
     modulus = big_k ** len(u)
     residue = from_digits(u, big_k)
-    nf = NormalForm(base=original.base, block_base=big_k, modulus=modulus,
+    nf = NormalForm(base=base, block_base=big_k, modulus=modulus,
                     residue=residue, suffix=tuple(u),
                     branches=tuple(branches), verified_bound=verify_bound)
     # machine verification by enumeration
-    want = {v for v in enumerate_members(original, verify_bound)
-            if v % modulus == residue}
+    want = {v for v in members if v % modulus == residue}
     got = set(enumerate_members(nf.decomposition(), verify_bound))
     if want != got:
         raise _ShapeRetry(
@@ -1112,6 +969,16 @@ class PowersReductionReport:
     @property
     def ok(self) -> bool:
         return all(st.ok for st in self.stages)
+
+
+def _geometric_below(starts: Iterable[int], ratio: int, bound: int) -> set[int]:
+    """Every c * ratio^j below bound, for c in starts."""
+    out = set()
+    for c in starts:
+        while c < bound:
+            out.add(c)
+            c *= ratio
+    return out
 
 
 def powers_reduction_demo(decomp: VerySparseDecomposition,
@@ -1162,13 +1029,7 @@ def powers_reduction_demo(decomp: VerySparseDecomposition,
             pulled_ok = False
             break
         b_set.add(num // k0**s_len + w_val)
-    b_bound = max(b_set, default=0) + 1
-    want_b = set()
-    for b in coeffs:
-        power = b
-        while power < b_bound:
-            want_b.add(power)
-            power *= k0**t_len
+    want_b = _geometric_below(coeffs, k0**t_len, max(b_set, default=0) + 1)
     stages.append(ReductionStage(
         "B_coefficient_powers", "pullback {b_i k^(t l)}",
         sorted(b_set)[:8], pulled_ok and b_set == want_b))
@@ -1185,12 +1046,7 @@ def powers_reduction_demo(decomp: VerySparseDecomposition,
                 break
             scaled *= k0**t_len
     c_bound = max(c_set, default=0) + 1
-    want_c = set()
-    for c in c_coeffs:
-        power = c
-        while power < c_bound:
-            want_c.add(power)
-            power *= k0**t_len
+    want_c = _geometric_below(c_coeffs, k0**t_len, c_bound)
     stages.append(ReductionStage(
         "C_unit_leading", "divide by the first coefficient; c_1 = 1",
         sorted(c_set)[:8], 1 in c_coeffs and c_set == want_c))
@@ -1203,12 +1059,7 @@ def powers_reduction_demo(decomp: VerySparseDecomposition,
     big_k = k0**(t_len * m_exp)
     modulus = big_k * big_k - 1
     d_set = {x for x in c_set if x % modulus == 1 % modulus}
-    want_d = set()
-    power = 1
-    while power < c_bound:
-        if power in c_set:
-            want_d.add(power)
-        power *= big_k * big_k
+    want_d = _geometric_below([1], big_k * big_k, c_bound) & c_set
     stages.append(ReductionStage(
         "D_pure_powers", f"cut with 1 mod {big_k}^2 - 1: exactly the K^(2l)",
         sorted(d_set)[:8], d_set == want_d and bool(d_set)))

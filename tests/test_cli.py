@@ -12,7 +12,9 @@ from nilseq.automaton import (
     product,
     thue_morse,
 )
+from nilseq import cli
 from nilseq.cli import run
+from nilseq.exactreal import PrecisionExhausted
 from nilseq.fixtures import eleven_free_acceptor
 from nilseq.sparsity import growth_census
 
@@ -100,6 +102,33 @@ def test_tampered_report_fails_verification(files, tmp_path):
     path.write_text(json.dumps(rep))
     code2, rep2 = invoke(["verify", "--report", str(path)])
     assert rep2["results"]["verified"] is False
+
+
+def test_certificate_missing_a_field_fails_verification(files, tmp_path):
+    code, rep = invoke(["sparsity", "ips", "--file", str(files / "free11.aut"),
+                        "--horizon", "200"])
+    del rep["certificates"][0]["r2"]
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(rep))
+    code2, rep2 = invoke(["verify", "--report", str(path)])
+    outcome = rep2["results"]["outcomes"][0]
+    assert code2 == 0 and outcome["ok"] is False
+    assert "r2" in outcome["detail"]
+
+
+def test_verification_keeps_library_exit_codes(files, tmp_path, monkeypatch):
+    code, rep = invoke(["sparsity", "ips", "--file", str(files / "free11.aut"),
+                        "--horizon", "200"])
+    path = tmp_path / "ips.json"
+    path.write_text(json.dumps(rep))
+
+    def exhausted(*args):
+        raise PrecisionExhausted("sign unresolved")
+
+    monkeypatch.setattr(cli, "verify_ips", exhausted)
+    code2, rep2 = invoke(["verify", "--report", str(path)])
+    assert code2 == 2
+    assert rep2["results"]["error"].startswith("precision exhausted")
 
 
 def test_ips_verify_covers_the_claimed_horizon(files, tmp_path):

@@ -143,3 +143,25 @@ def test_no_unreferenced_public_defs():
                for p in sorted((ROOT / d).rglob("*.py"))]
     modules = {p.name: p.read_text() for p in LIBRARY}
     assert unreferenced_public_defs(modules, sources) == []
+
+
+def function_local_relative_imports(source: str) -> list[int]:
+    """Lines of the relative imports made inside a function body."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    return sorted({node.lineno for func in ast.walk(ast.parse(source))
+                   if isinstance(func, funcs) for node in ast.walk(func)
+                   if isinstance(node, ast.ImportFrom) and node.level > 0})
+
+
+def test_function_local_relative_imports_are_found():
+    source = ("from . import a\nfrom .b import c\nimport os\n"
+              "def f():\n    from .d import e\n    import json\n"
+              "    from os import path\n"
+              "    def g():\n        from .. import h\n    return e, g\n"
+              "class C:\n    def m(self):\n        from .i import j\n")
+    assert function_local_relative_imports(source) == [5, 9, 13]
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
+def test_no_function_local_relative_imports(path):
+    assert function_local_relative_imports(path.read_text()) == []

@@ -208,11 +208,11 @@ def accepted_below_power(dfao, length):
 
 
 @st.composite
-def decomposition(draw):
+def decomposition(draw, max_patterns=2):
     base = draw(st.sampled_from([2, 3]))
     digits = st.integers(0, base - 1)
     patterns = []
-    for _ in range(draw(st.integers(1, 2))):
+    for _ in range(draw(st.integers(1, max_patterns))):
         rank = draw(st.integers(0, 2))
         parts = [tuple(draw(st.lists(digits, max_size=3)))]
         for _ in range(rank):
@@ -461,6 +461,16 @@ def test_normalize_rejects_finite():
     decomp = make_decomposition(2, [[(1, 0, 1)]])
     with pytest.raises(ValueError):
         normalize_arith_progression(decomp)
+
+
+@given(decomposition(max_patterns=3).filter(lambda d: d.rank > 0))
+@settings(max_examples=200, deadline=None)
+def test_normal_form_matches_members_on_its_progression(decomp):
+    bound = 1 << 24
+    nf = normalize_arith_progression(decomp, bound)
+    want = [v for v in enumerate_members(decomp, bound)
+            if v % nf.modulus == nf.residue]
+    assert enumerate_members(nf.decomposition(), bound) == want
 
 
 def test_powers_reduction_demo():
