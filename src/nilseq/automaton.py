@@ -238,14 +238,24 @@ def minimize(dfao: Dfao) -> Dfao:
 def equivalent(d1: Dfao, d2: Dfao) -> bool:
     """Exact eval-equality of two automata over the same base and order:
     outputs agree on every reachable state pair."""
+    return distinguishing_word(d1, d2) is None
+
+
+def distinguishing_word(d1: Dfao, d2: Dfao) -> tuple[int, ...] | None:
+    """The least shortest word on which the two automata (same base and
+    order) output differently, read from their initial states; None when
+    they agree on every word."""
     if d1.base != d2.base or d1.order != d2.order:
         raise ValueError("base/order mismatch")
 
     def successors(pair):
         return enumerate(zip(d1.transitions[pair[0]], d2.transitions[pair[1]]))
 
-    pairs = breadth_first({(d1.initial, d2.initial): None}, successors)
-    return all(d1.outputs[a] == d2.outputs[b] for a, b in pairs)
+    links = {(d1.initial, d2.initial): None}
+    for a, b in breadth_first(links, successors):
+        if d1.outputs[a] != d2.outputs[b]:
+            return word_to(links, (a, b))
+    return None
 
 
 # ---------------------------------------------------------------------------

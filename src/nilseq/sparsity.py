@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence
 
 from .automaton import (
@@ -23,6 +23,7 @@ from .automaton import (
     breadth_first,
     count_accepted_below,
     determinize,
+    distinguishing_word,
     minimize,
     product,
     reach,
@@ -30,7 +31,7 @@ from .automaton import (
     to_msd,
     word_to,
 )
-from .digits import from_digits, from_digits_lsd, to_digits
+from .digits import from_digits, from_digits_lsd, to_digits, to_digits_lsd
 from .ipsets import IpGenerators, IpsFamily, finite_sums, shifted_finite_sums
 
 
@@ -517,7 +518,10 @@ class IpsWitness:
 
     Identities a(k^l n + p) = a(k^m n + r1) = a(k^m n + r2) hold for all n;
     members N_t + n_alpha realize iterated applications of the two digit
-    substitutions and all lie inside the 1-set.
+    substitutions and all lie inside the 1-set.  ``prove_ips`` proves both
+    claims, for every n and at every depth, on the states of an LSD
+    automaton; ``verify_ips`` only replays them on a sequence, the
+    identities for n <= ``verified_horizon`` and the members up to a depth.
     """
 
     base: int
@@ -540,7 +544,10 @@ class IpsWitness:
 
 def ips_witness(dfao: Dfao, horizon: int = 10**5, depth: int = 10) -> IpsWitness:
     """Convert a branching classification into explicit (l, m, p, r1, r2)
-    data plus generator and shift families, every claim re-verified."""
+    data plus ``depth`` generators and shifts, every claim proved for all n
+    and at every depth by ``prove_ips`` on the states of the classification's
+    LSD automaton.  Nothing is evaluated: ``horizon`` is only recorded, as
+    the horizon up to which ``verify_ips`` replays the identities."""
     cls = classify(dfao)
     if cls.is_very_sparse:
         raise ValueError("ips witness requires the branching classification")
@@ -551,13 +558,9 @@ def ips_witness(dfao: Dfao, horizon: int = 10**5, depth: int = 10) -> IpsWitness
         raise AssertionError("witness state unreachable; classification bug")
     entry = word_to(from_initial, wit.state)
     l = len(entry)
-    d_len = len(wit.v1)
-    m = l + d_len
+    m = l + len(wit.v1)
     p = from_digits_lsd(entry, k)
-    s1 = from_digits_lsd(wit.v1, k)
-    s2 = from_digits_lsd(wit.v2, k)
-    if s1 > s2:
-        s1, s2 = s2, s1
+    s1, s2 = sorted((from_digits_lsd(wit.v1, k), from_digits_lsd(wit.v2, k)))
     r1 = p + k**l * s1
     r2 = p + k**l * s2
     # n0 from the shortest word to an accepting state, the lowest on ties
@@ -567,22 +570,95 @@ def ips_witness(dfao: Dfao, horizon: int = 10**5, depth: int = 10) -> IpsWitness
     if not accept_words:
         raise AssertionError("promising witness state cannot accept")
     n0 = from_digits_lsd(min(accept_words, key=len), k)
-    gens = tuple(k**l * (s2 - s1) * k**((i - 1) * d_len)
-                 for i in range(1, depth + 1))
-    shifts = []
-    for t in range(1, depth + 1):
-        geom_sum = (k**(t * d_len) - 1) // (k**d_len - 1)
-        shifts.append(k**l * (k**(t * d_len) * n0 + s1 * geom_sum) + p)
-    witness = IpsWitness(k, l, m, p, r1, r2, n0, gens, tuple(shifts),
+    witness = IpsWitness(k, l, m, p, r1, r2, n0,
+                         *_ips_family(k, l, m, p, r1, r2, n0, depth),
                          depth, horizon)
-    verify_ips(witness, lsd.eval, depth)
+    prove_ips(witness, lsd)
     return witness
 
 
+def _ips_family(k: int, l: int, m: int, p: int, r1: int, r2: int, n0: int,
+                depth: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The first ``depth`` generators and shifts of the members whose LSD
+    words are the l-digit word of p, t blocks of d = m - l digits each the
+    word of s1 = (r1 - p) / k^l or of s2 = (r2 - p) / k^l, and the word of
+    n0: shift N_t has every block s1, generator i turns block i into s2."""
+    d = m - l
+    s1, s2 = (r1 - p) // k**l, (r2 - p) // k**l
+    gens = tuple(k**l * (s2 - s1) * k**((i - 1) * d) for i in range(1, depth + 1))
+    shifts = tuple(k**l * (k**(t * d) * n0 + s1 * ((k**(t * d) - 1) // (k**d - 1))) + p
+                   for t in range(1, depth + 1))
+    return gens, shifts
+
+
+def _lsd_word(n: int, k: int, length: int) -> tuple[int, ...]:
+    """The LSD word of 0 <= n < k^length, padded with zeros to ``length``."""
+    word = to_digits_lsd(n, k)
+    return word + (0,) * (length - len(word))
+
+
+def _value_state(lsd: Dfao, n: int) -> int:
+    """The state that eval(n) reads its output from."""
+    return lsd.run(lsd.initial, to_digits_lsd(n, lsd.base))
+
+
+def _identity_break(lsd: Dfao, here: int, there: int) -> Optional[int]:
+    """The n >= 1 of fewest digits whose LSD word leads the states ``here``
+    and ``there`` to different outputs, None when there is none.  The word
+    of n >= 1 ends in a nonzero digit, so the state pairs are compared by
+    their outputs one nonzero digit on, and trailing zeros never matter."""
+    k = lsd.base
+    ahead = replace(lsd, outputs=tuple(tuple(lsd.outputs[t] for t in row[1:])
+                                       for row in lsd.transitions))
+    word = distinguishing_word(replace(ahead, initial=here),
+                               replace(ahead, initial=there))
+    if word is None:
+        return None
+    x, y = ahead.outputs[lsd.run(here, word)], ahead.outputs[lsd.run(there, word)]
+    d = next(d for d in range(1, k) if x[d - 1] != y[d - 1])
+    return from_digits_lsd(word + (d,), k)
+
+
+def prove_ips(w: IpsWitness, lsd: Dfao):
+    """Prove the claims of ``w`` for all n and at every depth on the states
+    of the LSD automaton ``lsd``, evaluating nothing.
+
+    For n >= 1 the LSD word of k^l n + p is the l-digit word of p, then the
+    word of n (k^m n + r likewise), so the identities hold iff the runs of
+    those words of p, r1 and r2 end in states that agree after every word
+    ending in a nonzero digit; n = 0 compares the states of p, r1 and r2.
+    Member N_t + n_alpha is k^m n' + r1 or k^m n' + r2 for a member n' of
+    depth t - 1 (n0 at depth 0), so the identities, n0 and the family's
+    shape prove every member.  Raises ValueError on another order or base,
+    or residues that do not extend p; AssertionError at the first failed
+    claim, naming for an identity an n of fewest digits that breaks it.
+    """
+    k, l, m = w.base, w.l, w.m
+    if lsd.order is not ReadingOrder.LSD or lsd.base != k:
+        raise ValueError("a state proof needs an LSD automaton of the witness's base")
+    if not (0 <= l < m and 0 <= w.p < k**l
+            and all(0 <= r < k**m and r % k**l == w.p for r in (w.r1, w.r2))):
+        raise ValueError("residues r1 and r2 do not extend p")
+    if len({lsd.outputs[_value_state(lsd, x)] for x in (w.p, w.r1, w.r2)}) > 1:
+        raise AssertionError("ips identity failed at n=0")
+    here = lsd.run(lsd.initial, _lsd_word(w.p, k, l))
+    for r in (w.r1, w.r2):
+        n = _identity_break(lsd, here, lsd.run(lsd.initial, _lsd_word(r, k, m)))
+        if n is not None:
+            raise AssertionError(f"ips identity failed at n={n}")
+    if lsd.outputs[_value_state(lsd, k**l * w.n0 + w.p)] != 1:
+        raise AssertionError("n0 does not witness membership")
+    family = _ips_family(k, l, m, w.p, w.r1, w.r2, w.n0, len(w.generators))
+    if (w.generators, w.shifts) != family:
+        raise AssertionError("generators and shifts are not the family of "
+                             "(l, m, p, r1, r2, n0)")
+
+
 def verify_ips(w: IpsWitness, a: Callable[[int], int], depth: int):
-    """Replay every claim of ``w`` on the sequence ``a``: the identities for
-    n <= verified_horizon, n0, and the shifted finite sums up to ``depth``;
-    raises AssertionError at the first that fails."""
+    """Replay the claims of ``w`` on the sequence ``a``, a check independent
+    of any automaton's states: the identities for n <= verified_horizon,
+    n0, and the shifted finite sums up to ``depth``; raises AssertionError
+    at the first that fails."""
     k = w.base
     for n in range(w.verified_horizon + 1):
         v0 = a(k**w.l * n + w.p)
@@ -720,7 +796,10 @@ def factor_universality_report(dfao: Dfao, subset_budget: int = 1 << 20
 
 @dataclass
 class IpPlusWitness:
-    """Shift N and generators m * k^(l(i-1)+h) realizing a shifted sums family."""
+    """Shift N and generators m * k^(l(i-1)+h) realizing a shifted sums family:
+    N plus every finite sum of the generators, at every depth, is a member.
+    ``prove_ip_plus`` proves that on the states of an LSD automaton;
+    ``verify_ip_plus`` only replays it on a sequence up to a depth."""
 
     base: int
     shift: int
@@ -736,7 +815,9 @@ class IpPlusWitness:
 def ip_plus_witness(dfao: Dfao, depth: int = 10) -> IpPlusWitness:
     """States s, s' and words u = 0^l, v with the four-arrow diagram
     (s -u-> s', s -v-> s, s' -u-> s', s' -v-> s), turned into a shift and
-    geometric generators; every finite sum + shift is verified a member."""
+    geometric generators; that every finite sum + shift is a member, at
+    every depth, is proved by ``prove_ip_plus`` on the states of
+    ``to_lsd(dfao)``, evaluating nothing."""
     report = factor_universality_report(dfao)
     if not report.universal:
         raise ValueError(
@@ -777,9 +858,9 @@ def ip_plus_witness(dfao: Dfao, depth: int = 10) -> IpPlusWitness:
             continue
         n0 = from_digits_lsd(entry, k)
         h = len(to_digits(n0, k))
-        gens = tuple(m_value * k**(l * (i - 1) + h) for i in range(1, depth + 1))
-        witness = IpPlusWitness(k, n0, m_value, l, h, s, s_prime, gens, depth)
-        _verify_ip_plus(witness, lsd.eval, depth)
+        witness = IpPlusWitness(k, n0, m_value, l, h, s, s_prime,
+                                _ip_plus_generators(k, m_value, l, h, depth), depth)
+        prove_ip_plus(witness, lsd)
         return witness
     raise BudgetExceeded(f"diagram search exhausted; stages: {stages}")
 
@@ -798,7 +879,49 @@ def _entry_word(lsd: Dfao, from_initial: dict, target: int
     return min(words, key=lambda w: (len(w), w), default=None)
 
 
-def _verify_ip_plus(w: IpPlusWitness, a: Callable[[int], int], depth: int):
+def _ip_plus_generators(k: int, m: int, l: int, h: int, depth: int
+                        ) -> tuple[int, ...]:
+    """The first ``depth`` generators m k^(l(i-1)+h)."""
+    return tuple(m * k**(l * (i - 1) + h) for i in range(1, depth + 1))
+
+
+def prove_ip_plus(w: IpPlusWitness, lsd: Dfao):
+    """Prove that shift N plus every finite sum of the generators
+    m k^(l(i-1)+h) is a member, at every depth, on the states of the LSD
+    automaton ``lsd``, evaluating nothing.
+
+    If generator t is the largest in the sum, the sum's LSD word is the
+    h-digit word of N, blocks x_1 ... x_(t-1) (the l-digit word v of m
+    where generator i is in the sum, u = 0^l elsewhere) and the word of m.
+    So the claim holds iff every state that u and v reach from N's state
+    goes to output 1 on the word of m; for the diagram of
+    ``ip_plus_witness`` those states are s and s'.  Raises ValueError on
+    another order or base, or a shift or m longer than its digit count;
+    AssertionError naming a non-member of fewest blocks.
+    """
+    k, l, h = w.base, w.l, w.h
+    if lsd.order is not ReadingOrder.LSD or lsd.base != k:
+        raise ValueError("a state proof needs an LSD automaton of the witness's base")
+    if not (0 <= w.shift < k**h and 0 < w.m_value < k**l):
+        raise ValueError("shift or m exceeds its digit count")
+    if w.generators != _ip_plus_generators(k, w.m_value, l, h, len(w.generators)):
+        raise AssertionError("generators are not m k^(l(i-1)+h)")
+    blocks = ((0,) * l, _lsd_word(w.m_value, k, l))
+    links = reach([lsd.run(lsd.initial, _lsd_word(w.shift, k, h))],
+                  lambda x: ((j, lsd.run(x, b)) for j, b in enumerate(blocks)))
+    last = to_digits_lsd(w.m_value, k)
+    for x in links:
+        if lsd.outputs[lsd.run(x, last)] != 1:
+            chosen = word_to(links, x) + (1,)
+            gens = _ip_plus_generators(k, w.m_value, l, h, len(chosen))
+            value = w.shift + sum(g for g, j in zip(gens, chosen) if j)
+            raise AssertionError(f"shifted sum {value} not a member")
+
+
+def verify_ip_plus(w: IpPlusWitness, a: Callable[[int], int], depth: int):
+    """Replay the claim of ``w`` on the sequence ``a``, a check independent
+    of any automaton's states: the shift plus every finite sum of the first
+    ``depth`` generators; raises AssertionError at the first non-member."""
     for v in finite_sums(IpGenerators(w.generators[:depth]), depth):
         if a(v + w.shift) != 1:
             raise AssertionError(f"shifted sum {v + w.shift} not a member")

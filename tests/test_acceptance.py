@@ -100,7 +100,8 @@ def test_criterion_03_baum_sweet_ips():
     bs = baum_sweet()
     assert classify(bs).variant == "condition_i"
     wit = ips_witness(bs, horizon=10**5, depth=10)
-    # ips_witness re-verifies internally; re-check the identities here too
+    # ips_witness proves the identities on LSD states; re-check them here
+    # by evaluating the input automaton
     k = wit.base
     for n in range(0, 10**5 + 1, 9973):
         v = bs.eval(k**wit.l * n + wit.p)

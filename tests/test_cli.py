@@ -131,6 +131,14 @@ def test_verification_keeps_library_exit_codes(files, tmp_path, monkeypatch):
     assert rep2["results"]["error"].startswith("precision exhausted")
 
 
+def cut_to_digits(dfao, digits):
+    """The base-2 MSD automaton dfao restricted to n < 2^digits."""
+    upto_k = Dfao(2, ((0, 1),) + tuple((i + 1, i + 1) for i in range(1, digits + 1))
+                  + ((digits + 1, digits + 1),),
+                  (1,) * (digits + 1) + (0,), 0, ReadingOrder.MSD)
+    return product(dfao, upto_k, lambda x, y: x & y)
+
+
 def test_ips_verify_covers_the_claimed_horizon(files, tmp_path):
     # cut the eleven-free acceptor to expansions of at most K digits: the
     # identities a(2^l n + p) = a(2^m n + r) then first break near
@@ -141,10 +149,7 @@ def test_ips_verify_covers_the_claimed_horizon(files, tmp_path):
     cert = rep["certificates"][0]
     l, m, p, r1, r2 = (cert[x] for x in ("l", "m", "p", "r1", "r2"))
     digits = m + 14
-    upto_k = Dfao(2, ((0, 1),) + tuple((i + 1, i + 1) for i in range(1, digits + 1))
-                  + ((digits + 1, digits + 1),),
-                  (1,) * (digits + 1) + (0,), 0, ReadingOrder.MSD)
-    cut = product(eleven_free_acceptor(), upto_k, lambda x, y: x & y)
+    cut = cut_to_digits(eleven_free_acceptor(), digits)
     assert all(cut.eval(n) == (n < 2**digits and eleven_free_acceptor().eval(n))
                for n in range(2**digits - 64, 2**digits + 64))
     first_break = next(n for n in range(10**5)
@@ -163,6 +168,42 @@ def test_ips_verify_covers_the_claimed_horizon(files, tmp_path):
     assert code2 == 0 and rep2["results"]["verified"] is False
     assert rep2["results"]["outcomes"][0]["detail"] == (
         f"ips identity failed at n={first_break}")
+
+
+def test_ips_verify_reports_what_it_checked(files, tmp_path):
+    _, rep = invoke(["sparsity", "ips", "--file", str(files / "free11.aut"),
+                        "--horizon", "500"])
+    cert = rep["certificates"][0]
+    assert cert["claim"] == "for all n, on the states of to_lsd(automaton)"
+    path = tmp_path / "ips.json"
+    path.write_text(json.dumps(rep))
+    _, rep2 = invoke(["verify", "--report", str(path)])
+    assert rep2["results"]["outcomes"][0]["checked"] == {
+        "states_proof": True, "replay_horizon": 500,
+        "depth": cert["verified_depth"]}
+
+
+def test_ips_states_proof_reaches_past_the_replay_horizon(files, tmp_path):
+    # the cut acceptor above breaks the identities only past n = 10^4, so a
+    # replay to n = 10^3 passes; the state proof still finds a break
+    _, rep = invoke(["sparsity", "ips", "--file", str(files / "free11.aut"),
+                        "--horizon", "1000"])
+    cert = rep["certificates"][0]
+    l, m, p, r1, r2 = (cert[x] for x in ("l", "m", "p", "r1", "r2"))
+    cut = cut_to_digits(eleven_free_acceptor(), m + 14)
+    cert["automaton"] = format_automaton(cut)
+    cert["verified_depth"] = 2
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps(rep))
+    _, rep2 = invoke(["verify", "--report", str(path)])
+    outcome = rep2["results"]["outcomes"][0]
+    assert outcome["ok"] is False
+    assert outcome["checked"] == {"states_proof": False, "replay_horizon": 1000,
+                                  "depth": 2}
+    n = int(outcome["detail"].removeprefix("ips identity failed at n="))
+    assert n > 1000
+    assert not cut.eval(2**l * n + p) == cut.eval(2**m * n + r1) == cut.eval(
+        2**m * n + r2)
 
 
 def test_determinism(files):

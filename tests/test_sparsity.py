@@ -1,10 +1,12 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nilseq.automaton import (
+    BudgetExceeded,
     Dfao,
     ReadingOrder,
     base_power,
@@ -20,6 +22,7 @@ from nilseq.automaton import (
     product,
     reach,
     reverse_reading,
+    to_lsd,
     to_msd,
     word_to,
 )
@@ -34,8 +37,9 @@ from nilseq.fixtures import (
 from nilseq.ipsets import IpGenerators, finite_sums
 from nilseq.sparsity import (
     BasicPattern,
+    IpPlusWitness,
+    IpsWitness,
     _entry_word,
-    _verify_ip_plus,
     classify,
     decomposition_to_dfao,
     enumerate_members,
@@ -48,6 +52,10 @@ from nilseq.sparsity import (
     make_decomposition,
     normalize_arith_progression,
     promising_states,
+    prove_ip_plus,
+    prove_ips,
+    verify_ip_plus,
+    verify_ips,
     very_sparse_decomposition,
     window_count,
 )
@@ -359,6 +367,84 @@ def test_ips_witness_rejected_on_very_sparse(powers2):
         ips_witness(powers2)
 
 
+def test_ips_witness_horizon_costs_nothing(bs, wall_clock_limit):
+    with wall_clock_limit(1):
+        w = ips_witness(bs, horizon=10**9, depth=10)
+    assert w.verified_horizon == 10**9
+
+
+def test_witnesses_evaluate_nothing(monkeypatch, bs, const1):
+    def no_eval(self, n):
+        raise AssertionError("a witness was checked by evaluation")
+
+    monkeypatch.setattr(Dfao, "eval", no_eval)
+    ips_witness(bs, horizon=10**5, depth=10)
+    ips_witness(const1, horizon=10**5, depth=10)
+    ip_plus_witness(contains_101_acceptor(), depth=10)
+    ip_plus_witness(const1, depth=10)
+
+
+def identity_holds(dfao, w, n):
+    k = w.base
+    return (dfao.eval(k**w.l * n + w.p) == dfao.eval(k**w.m * n + w.r1)
+            == dfao.eval(k**w.m * n + w.r2))
+
+
+def named_n(exc):
+    message = str(exc.value)
+    assert message.startswith("ips identity failed at n=")
+    return int(message.removeprefix("ips identity failed at n="))
+
+
+def test_ips_proof_rejects_a_tampered_residue(bs):
+    w = ips_witness(bs, horizon=10**3, depth=10)
+    k = w.base
+    others = [w.p + k**w.l * s for s in range(k**(w.m - w.l))
+              if w.p + k**w.l * s not in (w.r1, w.r2)]
+    assert others
+    for r2 in others:
+        tampered = replace(w, r2=r2)
+        with pytest.raises(AssertionError) as exc:
+            prove_ips(tampered, to_lsd(bs))
+        assert not identity_holds(bs, tampered, named_n(exc))
+
+
+def test_proofs_read_canonical_words_on_states_that_change_on_a_trailing_zero():
+    # a(n) = 1 for n >= 1 and a(0) = 0; state 1 (last digit 1) outputs 1 and
+    # reading 0 takes it to state 2, which outputs 0
+    dfao = Dfao(2, ((0, 1), (2, 1), (2, 1)), (0, 1, 0), 0, ReadingOrder.LSD)
+    assert not is_zero_invariant(dfao)
+    # a(2n) = a(4n) = a(4n + 2) holds for every n >= 1 but not n = 0
+    w = IpsWitness(2, 1, 2, 0, 0, 2, 1, (), (), 0, 0)
+    with pytest.raises(AssertionError) as exc:
+        prove_ips(w, dfao)
+    assert named_n(exc) == 0 and not identity_holds(dfao, w, 0)
+    assert all(identity_holds(dfao, w, n) for n in range(1, 200))
+    # the constant-1 sequence read by a state that flips on a trailing 0:
+    # its witness is proved although the automaton is not zero invariant
+    flips = Dfao(2, ((1, 0), (1, 0)), (1, 0), 0, ReadingOrder.LSD)
+    assert not is_zero_invariant(flips)
+    w = ips_witness(flips, horizon=300, depth=6)
+    verify_ips(w, flips.eval, 6)
+    # 1 + sums of 2^(2i+1): the block word 10 of m = 1 ends in a 0 that no
+    # member's own word reads last
+    w = IpPlusWitness(2, 1, 1, 2, 1, 0, 0, (2, 8, 32, 128), 4)
+    prove_ip_plus(w, flips)
+    verify_ip_plus(w, flips.eval, 4)
+
+
+def test_proofs_reject_a_family_off_their_words(bs):
+    w = ips_witness(bs, horizon=10**3, depth=10)
+    for tampered in (replace(w, shifts=w.shifts[:-1] + (w.shifts[-1] + 2,)),
+                     replace(w, generators=w.generators[:-1])):
+        with pytest.raises(AssertionError, match="generators and shifts"):
+            prove_ips(tampered, to_lsd(bs))
+    dfao = contains_101_acceptor()
+    w = ip_plus_witness(dfao, depth=10)
+    with pytest.raises(AssertionError, match="generators are not"):
+        prove_ip_plus(replace(w, generators=w.generators[1:]), to_lsd(dfao))
+
+
 # --- factor universality ------------------------------------------------------
 
 
@@ -394,12 +480,72 @@ def test_ip_plus_witness_long_pattern_is_fast(wall_clock_limit):
                        lambda o: 1 - o)
     with wall_clock_limit(2):
         w = ip_plus_witness(dfao, depth=10)
-    _verify_ip_plus(w, dfao.eval, 10)
+    verify_ip_plus(w, dfao.eval, 10)
 
 
 def test_ip_plus_rejects_baum_sweet(bs):
     with pytest.raises(ValueError):
         ip_plus_witness(bs)
+
+
+def test_ip_plus_proof_rejects_a_shifted_shift():
+    dfao = contains_101_acceptor()
+    w = ip_plus_witness(dfao, depth=10)
+    k = w.base
+    others = [shift for shift in range(k**w.h) if shift != w.shift]
+    assert others
+    for shift in others:
+        with pytest.raises(AssertionError) as exc:
+            prove_ip_plus(replace(w, shift=shift), to_lsd(dfao))
+        value = int(str(exc.value).split()[2])
+        assert value - shift in finite_sums(IpGenerators(w.generators), 10)
+        assert dfao.eval(value) != 1
+
+
+@given(zero_invariant_automaton())
+@settings(max_examples=300, deadline=None)
+def test_witnesses_replay_on_the_input_automaton(dfao):
+    if classify(dfao).variant == "condition_i":
+        verify_ips(ips_witness(dfao, horizon=300, depth=6), dfao.eval, 6)
+    if factor_universality(dfao):
+        verify_ip_plus(ip_plus_witness(dfao, depth=8), dfao.eval, 8)
+
+
+@given(binary_automaton(), st.integers(0, 1 << 16))
+@settings(max_examples=300, deadline=None)
+def test_state_proofs_agree_with_evaluation(dfao, tamper):
+    # any automaton, zero invariant or not: a proved witness replays on the
+    # input automaton, and a witness with another residue or shift is
+    # rejected exactly when evaluation breaks it, at the n or sum named
+    lsd = to_lsd(dfao)
+    try:
+        w = ips_witness(dfao, horizon=300, depth=6)
+    except (ValueError, AssertionError):
+        pass
+    else:
+        verify_ips(w, dfao.eval, 6)
+        k = w.base
+        tampered = replace(w, r2=w.p + k**w.l * (tamper % k**(w.m - w.l)))
+        try:
+            prove_ips(tampered, lsd)
+        except AssertionError as exc:
+            if str(exc).startswith("ips identity failed at n="):
+                n = int(str(exc).removeprefix("ips identity failed at n="))
+                assert not identity_holds(dfao, tampered, n)
+            else:
+                assert all(identity_holds(dfao, tampered, n) for n in range(300))
+    try:
+        w = ip_plus_witness(dfao, depth=8)
+    except (ValueError, BudgetExceeded):
+        return
+    verify_ip_plus(w, dfao.eval, 8)
+    tampered = replace(w, shift=tamper % w.base**w.h)
+    try:
+        prove_ip_plus(tampered, lsd)
+    except AssertionError as exc:
+        assert dfao.eval(int(str(exc).split()[2])) != 1
+    else:
+        verify_ip_plus(tampered, dfao.eval, 8)
 
 
 # --- normal form ---------------------------------------------------------------
