@@ -20,7 +20,6 @@ from .automaton import (  # noqa: F401
     pumping_witness,
     reverse_reading,
     thue_morse,
-    verify_zero_invariance,
 )
 from .exactreal import (  # noqa: F401
     ExactReal,

@@ -1,11 +1,12 @@
 """Finite base-k automata with output (DFAOs).
 
-A DFAO computes a sequence by reading the base-k digits of n (most- or
-least-significant first, with leading-zero invariance) and applying an
-output map to the final state.  This module provides evaluation, the
+A DFAO computes a sequence by reading the canonical base-k word of n (no
+most-significant zero; most- or least-significant digit first) and applying
+an output map to the final state.  This module provides evaluation, the
 breadth-first walk that every automaton search and construction is built
-on, exact kernel computation, reading-order reversal, base-power change,
-products, minimization, builders (a prohibited-pattern acceptor is
+on, the canonical (leading-zero invariant) form behind ``to_lsd`` and
+``to_msd``, exact kernel computation, reading-order reversal, base-power
+change, products, minimization, builders (a prohibited-pattern acceptor is
 ``determinize`` keyed by the longest suffix read that is a proper prefix
 of a pattern), and pumping witnesses.
 """
@@ -168,34 +169,35 @@ def determinize(start, successor_row: Callable, state_budget: float = math.inf,
 
 
 def is_zero_invariant(dfao: Dfao) -> bool:
-    """Exact structural check of leading-zero invariance in the declared order.
+    """Exact check of leading-zero invariance in the declared order.
 
-    MSD: the initial state and its 0-successor must be full-word equivalent.
-    LSD: every reachable state must keep its output along the 0-chain.
+    MSD: the initial state and its 0-successor must be full-word equivalent
+    (at once when they are the same state).  LSD: every reachable state must
+    keep its output on reading 0.
     """
     if dfao.order is ReadingOrder.LSD:
-        return _zero_keeps_outputs(dfao, dfao.reachable_states())
-    return equivalent(dfao, replace(dfao, initial=dfao.step(dfao.initial, 0)))
+        return all(dfao.outputs[dfao.step(s, 0)] == dfao.outputs[s]
+                   for s in dfao.reachable_states())
+    zero = dfao.step(dfao.initial, 0)
+    return zero == dfao.initial or equivalent(dfao, replace(dfao, initial=zero))
 
 
-def _zero_keeps_outputs(dfao: Dfao, states: Iterable[int]) -> bool:
-    """Whether reading 0 keeps the output of each of the states."""
-    return all(dfao.outputs[dfao.step(s, 0)] == dfao.outputs[s] for s in states)
+def canonical(dfao: Dfao) -> Dfao:
+    """A leading-zero invariant automaton with the same eval: ``dfao`` itself
+    exactly when it is zero invariant, so ``canonical(d) is d`` decides it.
 
-
-def verify_zero_invariance(dfao: Dfao, horizon: int) -> bool:
-    """Check eval(n) unchanged under up to 3 extra zero paddings, n < horizon."""
-    for n in range(horizon):
-        digits = dfao.digits_of(n)
-        want = dfao.eval(n)
-        for j in range(1, 4):
-            if dfao.order is ReadingOrder.MSD:
-                padded = (0,) * j + digits
-            else:
-                padded = digits + (0,) * j
-            if dfao.eval_word(padded) != want:
-                return False
-    return True
+    MSD: a fresh initial state with a 0-loop, the old initial state's
+    nonzero transitions and its output, minimized.  LSD: the same on the
+    reversed automaton, reversed back.
+    """
+    if is_zero_invariant(dfao):
+        return dfao
+    if dfao.order is ReadingOrder.LSD:
+        return reverse_reading(canonical(reverse_reading(dfao)))
+    lead = dfao.n_states
+    row = (lead,) + dfao.transitions[dfao.initial][1:]
+    return minimize(Dfao(dfao.base, dfao.transitions + (row,),
+                         dfao.outputs + (dfao.outputs[dfao.initial],), lead))
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +270,9 @@ def reverse_reading(dfao: Dfao, state_budget: int = 10**6) -> Dfao:
     States of the result are maps S -> outputs ("what would the source
     output if started anywhere and fed the digits read so far, in source
     order"); this is the digit-reversal subset construction, followed by
-    minimization.  Requires the input to be leading-zero invariant so the
-    result is too.
+    minimization.  The result reads every word as the input reads it
+    reversed, so it is exact on canonical words, and zero invariant when
+    the input is.
     """
     columns = tuple(zip(*dfao.transitions))  # columns[d][s] = step(s, d)
     maps, table = determinize(
@@ -283,11 +286,16 @@ def reverse_reading(dfao: Dfao, state_budget: int = 10**6) -> Dfao:
 
 
 def to_lsd(dfao: Dfao, state_budget: int = 10**6) -> Dfao:
+    """The canonical LSD automaton of the sequence."""
+    dfao = canonical(dfao)
     return dfao if dfao.order is ReadingOrder.LSD else reverse_reading(dfao, state_budget)
 
 
 def to_msd(dfao: Dfao, state_budget: int = 10**6) -> Dfao:
-    return dfao if dfao.order is ReadingOrder.MSD else reverse_reading(dfao, state_budget)
+    """The canonical MSD automaton of the sequence."""
+    if dfao.order is ReadingOrder.LSD:
+        dfao = reverse_reading(dfao, state_budget)
+    return canonical(dfao)
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +303,11 @@ def to_msd(dfao: Dfao, state_budget: int = 10**6) -> Dfao:
 
 
 def base_power(dfao: Dfao, a: int) -> Dfao:
-    """Automaton over base k^a computing the same sequence.
-
-    Digits of the new base are a-blocks of old digits; leading-zero
-    invariance of the input absorbs the block padding.
-    """
+    """Automaton over base k^a computing the same sequence: digits of the
+    new base are a-blocks of the digits of ``canonical(dfao)``."""
     if a < 1:
         raise ValueError("a must be >= 1")
+    dfao = canonical(dfao)
     if a == 1:
         return dfao
     k = dfao.base
@@ -354,21 +360,6 @@ class KernelReport:
     size: int
 
 
-def _canonical_partition(dfao: Dfao, states: list[int]) -> dict[int, int]:
-    """Partition of the reachable LSD states by equality of computed
-    functions, ignoring the empty-word output (handled separately by the
-    caller).
-
-    Two states compute the same function on canonical LSD words ending in a
-    nonzero digit iff they share this block; full function equality adds
-    agreement of the states' own outputs.
-    """
-    def sig0(s):
-        return tuple(dfao.outputs[dfao.step(s, d)] for d in range(1, dfao.base))
-
-    return _moore_partition(dfao, states, sig0)
-
-
 def kernel(dfao: Dfao, state_cap: int = 10**6, map_entry_cap: int = 4096) -> KernelReport:
     """Kernel classes by breadth-first closure over the LSD states, level by
     level.
@@ -384,18 +375,12 @@ def kernel(dfao: Dfao, state_cap: int = 10**6, map_entry_cap: int = 4096) -> Ker
     compute identical functions.  Never decided from sampled prefixes.
     """
     lsd = to_lsd(dfao, state_budget=state_cap)
-    states = lsd.reachable_states()
-    if not _zero_keeps_outputs(lsd, states):
-        raise ValueError("kernel requires a leading-zero invariant automaton")
     if lsd.n_states > state_cap:
         raise BudgetExceeded("kernel state closure exceeded cap")
-    block = _canonical_partition(lsd, states)
+    block = _moore_partition(lsd, lsd.reachable_states(), lsd.outputs.__getitem__)
     k = lsd.base
 
-    def class_key(s):
-        return (lsd.outputs[s], block[s])
-
-    class_ids: dict[tuple, int] = {}
+    class_ids: dict[int, int] = {}
     classes: list[tuple[int, int, int]] = []
     index_map: dict[tuple[int, int], int] = {}
     seen_states = {lsd.initial}
@@ -409,7 +394,7 @@ def kernel(dfao: Dfao, state_cap: int = 10**6, map_entry_cap: int = 4096) -> Ker
     t = 0
     while True:
         for r, s in level:
-            cid = class_ids.setdefault(class_key(s), len(classes))
+            cid = class_ids.setdefault(block[s], len(classes))
             if cid == len(classes):
                 classes.append((t, r, s))
             if storing:
@@ -432,7 +417,7 @@ def kernel(dfao: Dfao, state_cap: int = 10**6, map_entry_cap: int = 4096) -> Ker
         level = nxt
         t += 1
     # count classes over the full reachable set, not only the explored map
-    size = len({class_key(s) for s in seen_states})
+    size = len({block[s] for s in seen_states})
     assert size == len(classes)
     return KernelReport(tuple(classes), index_map, size)
 
@@ -523,11 +508,12 @@ def pumping_witness(dfao: Dfao, value: Hashable, L: int = 0,
                     ) -> tuple[DigitWord, DigitWord, DigitWord]:
     """Words u0, v, u1 with v nonempty and eval([u0 v^t u1]_k) = value for all t.
 
-    The pump is placed at position >= L of a witness word found by layered
-    search; the state-count is used as the pumping constant and the search
-    widens by ``length_slack`` extra lengths before giving up.  The returned
-    triple is verified for t <= 8.
+    The pump is placed at position >= L of a witness word of
+    ``canonical(dfao)`` found by layered search; the state-count is used as
+    the pumping constant and the search widens by ``length_slack`` extra
+    lengths before giving up.  The returned triple is verified for t <= 8.
     """
+    dfao = canonical(dfao)
     N = dfao.n_states
     if length_slack is None:
         length_slack = 2 * N + 2
@@ -575,8 +561,8 @@ def check_pumping_witness(dfao: Dfao, triple, value, t_max: int) -> bool:
 
 
 def _find_word_of_length(dfao: Dfao, value, length: int):
-    """A length-``length`` word with the given output, canonical in the
-    automaton's own word-space when possible (zero invariance covers the rest)."""
+    """The least word of length ``length`` that the automaton reads to an
+    output of ``value``, None when there is none."""
     def successors(key):
         s, depth = key
         if depth == length:
@@ -669,7 +655,7 @@ def count_accepted_below(dfao: Dfao, bound: int) -> int:
     if not digits:
         return 1 if msd.outputs[msd.initial] == 1 else 0
     k = msd.base
-    # pad every n <= bound-1 to len(digits) digits; zero invariance keeps eval
+    # every n <= bound-1 as a word of len(digits) digits
     free: dict[int, int] = {}
     count = 0
     tight_state = msd.initial

@@ -21,6 +21,7 @@ from . import __version__
 from .automaton import (
     BudgetExceeded,
     Dfao,
+    canonical,
     check_pumping_witness,
     count_accepted_below,
     format_automaton,
@@ -30,7 +31,6 @@ from .automaton import (
     pumping_witness,
     reverse_reading,
     to_lsd,
-    verify_zero_invariance,
 )
 from .digits import DigitWord
 from .exactreal import (
@@ -196,9 +196,7 @@ def _cmd_automaton(args, report: Report) -> None:
         report.results["automaton"] = format_automaton(out)
         report.results["states"] = out.n_states
     elif args.action == "check":
-        horizon = args.horizon or 4096
-        report.results["zero_invariant"] = verify_zero_invariance(dfao, horizon)
-        report.results["horizon"] = horizon
+        report.results["zero_invariant"] = canonical(dfao) is dfao
     elif args.action == "pump":
         value = args.value if args.value is not None else 1
         u0, v, u1 = pumping_witness(dfao, value)
@@ -598,7 +596,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--range", type=int, nargs=2)
-    p.add_argument("--horizon", type=int)
     p.add_argument("--value", type=int)
 
     p = sub.add_parser("sparsity")

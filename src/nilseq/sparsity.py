@@ -21,6 +21,7 @@ from .automaton import (
     ReadingOrder,
     base_power,
     breadth_first,
+    canonical,
     count_accepted_below,
     determinize,
     distinguishing_word,
@@ -597,36 +598,23 @@ def _lsd_word(n: int, k: int, length: int) -> tuple[int, ...]:
     return word + (0,) * (length - len(word))
 
 
-def _value_state(lsd: Dfao, n: int) -> int:
-    """The state that eval(n) reads its output from."""
-    return lsd.run(lsd.initial, to_digits_lsd(n, lsd.base))
-
-
 def _identity_break(lsd: Dfao, here: int, there: int) -> Optional[int]:
-    """The n >= 1 of fewest digits whose LSD word leads the states ``here``
-    and ``there`` to different outputs, None when there is none.  The word
-    of n >= 1 ends in a nonzero digit, so the state pairs are compared by
-    their outputs one nonzero digit on, and trailing zeros never matter."""
-    k = lsd.base
-    ahead = replace(lsd, outputs=tuple(tuple(lsd.outputs[t] for t in row[1:])
-                                       for row in lsd.transitions))
-    word = distinguishing_word(replace(ahead, initial=here),
-                               replace(ahead, initial=there))
-    if word is None:
-        return None
-    x, y = ahead.outputs[lsd.run(here, word)], ahead.outputs[lsd.run(there, word)]
-    d = next(d for d in range(1, k) if x[d - 1] != y[d - 1])
-    return from_digits_lsd(word + (d,), k)
+    """The least n of fewest digits whose LSD word leads the states ``here``
+    and ``there`` of the canonical automaton ``lsd`` to different outputs,
+    None when there is none.  Reading 0 keeps every output, so the least
+    shortest distinguishing word never ends in 0: it is the word of n."""
+    word = distinguishing_word(replace(lsd, initial=here),
+                               replace(lsd, initial=there))
+    return None if word is None else from_digits_lsd(word, lsd.base)
 
 
 def prove_ips(w: IpsWitness, lsd: Dfao):
     """Prove the claims of ``w`` for all n and at every depth on the states
-    of the LSD automaton ``lsd``, evaluating nothing.
+    of ``canonical(lsd)``, an LSD automaton, evaluating nothing.
 
-    For n >= 1 the LSD word of k^l n + p is the l-digit word of p, then the
-    word of n (k^m n + r likewise), so the identities hold iff the runs of
-    those words of p, r1 and r2 end in states that agree after every word
-    ending in a nonzero digit; n = 0 compares the states of p, r1 and r2.
+    The LSD word of k^l n + p is the l-digit word of p, then the word of n
+    (k^m n + r likewise), so the identities hold iff the runs of those
+    words of p, r1 and r2 end in states that agree after every word.
     Member N_t + n_alpha is k^m n' + r1 or k^m n' + r2 for a member n' of
     depth t - 1 (n0 at depth 0), so the identities, n0 and the family's
     shape prove every member.  Raises ValueError on another order or base,
@@ -639,14 +627,13 @@ def prove_ips(w: IpsWitness, lsd: Dfao):
     if not (0 <= l < m and 0 <= w.p < k**l
             and all(0 <= r < k**m and r % k**l == w.p for r in (w.r1, w.r2))):
         raise ValueError("residues r1 and r2 do not extend p")
-    if len({lsd.outputs[_value_state(lsd, x)] for x in (w.p, w.r1, w.r2)}) > 1:
-        raise AssertionError("ips identity failed at n=0")
+    lsd = canonical(lsd)
     here = lsd.run(lsd.initial, _lsd_word(w.p, k, l))
     for r in (w.r1, w.r2):
         n = _identity_break(lsd, here, lsd.run(lsd.initial, _lsd_word(r, k, m)))
         if n is not None:
             raise AssertionError(f"ips identity failed at n={n}")
-    if lsd.outputs[_value_state(lsd, k**l * w.n0 + w.p)] != 1:
+    if lsd.eval_word(to_digits_lsd(k**l * w.n0 + w.p, k)) != 1:
         raise AssertionError("n0 does not witness membership")
     family = _ips_family(k, l, m, w.p, w.r1, w.r2, w.n0, len(w.generators))
     if (w.generators, w.shifts) != family:
@@ -713,6 +700,7 @@ def growth_census(dfao: Dfao, n_grid: Sequence[int],
     """
     if not dfao.is_binary():
         raise ValueError("growth census requires {0,1} outputs")
+    dfao = to_msd(dfao)
     samples = [(n, count_accepted_below(dfao, n)) for n in n_grid]
     rng = random.Random(seed)
     window_stats = []
@@ -887,8 +875,8 @@ def _ip_plus_generators(k: int, m: int, l: int, h: int, depth: int
 
 def prove_ip_plus(w: IpPlusWitness, lsd: Dfao):
     """Prove that shift N plus every finite sum of the generators
-    m k^(l(i-1)+h) is a member, at every depth, on the states of the LSD
-    automaton ``lsd``, evaluating nothing.
+    m k^(l(i-1)+h) is a member, at every depth, on the states of
+    ``canonical(lsd)``, an LSD automaton, evaluating nothing.
 
     If generator t is the largest in the sum, the sum's LSD word is the
     h-digit word of N, blocks x_1 ... x_(t-1) (the l-digit word v of m
@@ -904,6 +892,7 @@ def prove_ip_plus(w: IpPlusWitness, lsd: Dfao):
         raise ValueError("a state proof needs an LSD automaton of the witness's base")
     if not (0 <= w.shift < k**h and 0 < w.m_value < k**l):
         raise ValueError("shift or m exceeds its digit count")
+    lsd = canonical(lsd)
     if w.generators != _ip_plus_generators(k, w.m_value, l, h, len(w.generators)):
         raise AssertionError("generators are not m k^(l(i-1)+h)")
     blocks = ((0,) * l, _lsd_word(w.m_value, k, l))

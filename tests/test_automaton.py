@@ -7,9 +7,10 @@ from nilseq.automaton import (
     Dfao,
     KernelReport,
     ReadingOrder,
-    _canonical_partition,
+    _moore_partition,
     base_power,
     baum_sweet,
+    canonical,
     constant,
     count_accepted_below,
     equivalent,
@@ -28,7 +29,6 @@ from nilseq.automaton import (
     reverse_reading,
     thue_morse,
     to_lsd,
-    verify_zero_invariance,
 )
 from nilseq.digits import from_digits, to_digits
 
@@ -83,13 +83,28 @@ def test_kernel_minimize_consistency(tm, powers2, bs, eleven_free):
         assert kernel(minimize(a)).size == kernel(a).size
 
 
+def _canonical_partition(dfao: Dfao, states: list[int]) -> dict[int, int]:
+    """Partition of the reachable LSD states by equality of computed
+    functions, ignoring the empty-word output (handled separately by the
+    caller).
+
+    Two states compute the same function on canonical LSD words ending in a
+    nonzero digit iff they share this block; full function equality adds
+    agreement of the states' own outputs.
+    """
+    def sig0(s):
+        return tuple(dfao.outputs[dfao.step(s, d)] for d in range(1, dfao.base))
+
+    return _moore_partition(dfao, states, sig0)
+
+
 def per_residue_kernel(dfao, state_cap=10**6, map_entry_cap=4096):
     """Reference: the closure that keeps every residue r < k^t at every
-    level, so its cost grows like k^depth.  ``kernel`` must agree with it
-    exactly; keep the inputs small."""
+    level, so its cost grows like k^depth, and that keys a class by the
+    state's output and its agreement after every word ending in a nonzero
+    digit.  ``kernel`` must agree with it exactly; keep the inputs small."""
     lsd = to_lsd(dfao, state_budget=state_cap)
-    if not is_zero_invariant(lsd):
-        raise ValueError("kernel requires a leading-zero invariant automaton")
+    assert is_zero_invariant(lsd)
     if lsd.n_states > state_cap:
         raise BudgetExceeded("kernel state closure exceeded cap")
     block = _canonical_partition(lsd, lsd.reachable_states())
@@ -434,15 +449,49 @@ def test_pumping_unattained_value(const0):
 
 
 def test_zero_invariance(tm, const1):
-    assert verify_zero_invariance(tm, 512)
-    assert verify_zero_invariance(const1, 512)
+    assert is_zero_invariant(tm)
+    assert is_zero_invariant(const1)
+    lsd = to_lsd(tm)
+    assert canonical(tm) is tm and canonical(lsd) is lsd
+
+
+# delta(start, 0) leads to a state with different output: a(n) = 1 iff the
+# binary word of n >= 1 has a 0
+NOT_ZERO_INVARIANT = Dfao(2, ((1, 0), (1, 1)), (0, 1))
 
 
 def test_zero_invariance_counterexample():
-    # delta(start, 0) leads to a state with different output
-    d = Dfao(2, ((1, 0), (1, 1)), (0, 1))
-    assert not verify_zero_invariance(d, 16)
+    d = NOT_ZERO_INVARIANT
     assert not is_zero_invariant(d)
+    for c in (canonical(d), canonical(reverse_reading(d))):
+        assert is_zero_invariant(c)
+        assert all(c.eval(n) == d.eval(n) for n in range(512))
+    assert to_lsd(d).eval_word((1, 1, 0)) == d.eval(3) == 0
+
+
+def test_base_power_reads_canonical_words():
+    # padding the top block of n = 1, 7, 31 with a zero reads a 0 first
+    d = NOT_ZERO_INVARIANT
+    for e in (d, reverse_reading(d)):
+        b2 = base_power(e, 2)
+        assert all(b2.eval(n) == d.eval(n) for n in range(1024))
+
+
+def test_pumping_reads_canonical_words():
+    # every word 0w reads 1, though eval reads it as w
+    d = NOT_ZERO_INVARIANT
+    for e in (d, reverse_reading(d)):
+        assert check_pumping_witness(d, pumping_witness(e, 1), 1, 16)
+
+
+def test_kernel_of_an_automaton_not_zero_invariant():
+    # a(2^t n + r) for r < 2^t: n = 0 gives a(r), and n >= 1 has a 0 in its
+    # word unless n = 2^j - 1, where the word of r decides
+    rep = kernel(NOT_ZERO_INVARIANT)
+    assert rep.size == kernel(reverse_reading(NOT_ZERO_INVARIANT)).size
+    seqs = {tuple(NOT_ZERO_INVARIANT.eval(2**t * n + r) for n in range(64))
+            for t in range(6) for r in range(2**t)}
+    assert rep.size == len(seqs)
 
 
 # --- text format ------------------------------------------------------

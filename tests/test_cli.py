@@ -60,6 +60,18 @@ def test_automaton_kernel(files):
     assert code == 0 and rep["results"]["kernel_size"] == 2
 
 
+def test_automaton_not_zero_invariant(files, tmp_path):
+    # the initial state's 0-successor outputs 1, so a padded word of 1 reads 1
+    path = tmp_path / "lead.aut"
+    path.write_text(format_automaton(Dfao(2, ((1, 0), (1, 1)), (0, 1))))
+    code, rep = invoke(["automaton", "check", "--file", str(path)])
+    assert code == 0 and rep["results"] == {"zero_invariant": False}
+    code, rep = invoke(["automaton", "check", "--file", str(files / "tm.aut")])
+    assert code == 0 and rep["results"] == {"zero_invariant": True}
+    code, rep = invoke(["automaton", "kernel", "--file", str(path)])
+    assert code == 0 and rep["results"]["kernel_size"] == 3
+
+
 def test_unknown_flag_exits_one(files):
     code, _ = invoke(["automaton", "eval", "--file", str(files / "tm.aut"),
                       "--definitely-not-a-flag"])
