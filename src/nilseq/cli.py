@@ -243,7 +243,7 @@ def _cmd_sparsity(args, report: Report) -> None:
                                      ("l", "m", "p", "r1", "r2", "n0")}
     elif args.action == "normalize":
         decomp = very_sparse_decomposition(dfao)
-        nf = normalize_arith_progression(decomp, verify_bound=1 << args.log2_verify)
+        nf = normalize_arith_progression(decomp)
         report.results["modulus"] = nf.modulus
         report.results["residue"] = nf.residue
         report.results["block_base"] = nf.block_base
@@ -604,7 +604,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=10**4)
     p.add_argument("--depth", type=int, default=10)
     p.add_argument("--log2-max", type=int, default=20)
-    p.add_argument("--log2-verify", type=int, default=36)
 
     p = sub.add_parser("gp")
     p.add_argument("action", choices=("eval", "scan", "equidist", "compare"))

@@ -304,17 +304,6 @@ def _enumerate_pattern(pat: BasicPattern, bound: int, out: set[int]):
     rec(0, [])
 
 
-def is_member(decomp: VerySparseDecomposition, n: int) -> bool:
-    if n < 0:
-        return False
-    members = set()
-    for pat in decomp.basic_sets:
-        _enumerate_pattern(pat, n + 1, members)
-        if n in members:
-            return True
-    return False
-
-
 def window_count(decomp: VerySparseDecomposition, m0: int, n_len: int
                  ) -> tuple[int, int]:
     """Exact |members cap [m0, m0+n_len)| plus the shape-derived cap
@@ -928,7 +917,6 @@ class NormalForm:
     residue: int
     suffix: tuple[int, ...]           # u in block-base digits
     branches: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # (v_i, w)
-    verified_bound: int
 
     def decomposition(self) -> VerySparseDecomposition:
         pats = [BasicPattern(self.block_base, (v, w, self.suffix))
@@ -938,18 +926,28 @@ class NormalForm:
 
 def normalize_arith_progression(decomp: VerySparseDecomposition,
                                 verify_bound: int = 1 << 40) -> NormalForm:
-    """Common-pump normal form of the members on one arithmetic progression.
+    """Common-pump normal form of the members on one arithmetic progression,
+    proved for all n by ``prove_normal_form``.
 
     With M the lcm of the pump lengths, the member set is K-automatic for
     K = k^M (Allouche-Shallit, *Automatic Sequences*, 6.6), so
     ``classify(base_power(decomposition_to_dfao(decomp), M))`` gives both
     its LSD value acceptor in base K and its block-base digit patterns.
-    The separating suffix is u = u1^c w1 u2^c ... ur^c wr, read off the
-    highest-rank block pattern w0 u1 w1 ... ur wr with c growing; the value
-    acceptor is intersected with the progression K^|u| Z + [u]_K, and the
-    intersection's patterns are reshaped into branches [v w^l u].  The
-    members of the result are verified by enumeration below
-    ``verify_bound`` to equal the input's members on the progression.
+    Every promising cycle of that acceptor is conjugate to a pump, so its
+    length divides M and in base K it is a self-loop; this survives the
+    product with the progression's acceptor.  The suffix is
+    u = u1 w1 ... ur wr, read off the highest-rank block pattern
+    w0 u1 w1 ... ur wr (the first on ties).  Reading u LSD-first follows
+    that pattern's own path and stops on the self-loop state of its top
+    pump, with digit d; another cycle past that state would give a pattern
+    of higher rank.  So every member on K^|u| Z + [u]_K is [v d^l u]_K for
+    v in a finite set: one attempt suffices, each pattern (v, (d,), u) of
+    the intersection is the branch (v, (d,)), and the only rank-0 pattern
+    is [u] itself (d = 0), kept last as the branch ((), (0,)).  The proof
+    walk is the one check: a shape this argument missed fails there with
+    an n that really differs.
+
+    ``verify_bound`` is ignored; it stays for callers that still pass it.
     """
     if not decomp.basic_sets:
         raise ValueError("finite (empty) set has no progression normal form")
@@ -959,106 +957,56 @@ def normalize_arith_progression(decomp: VerySparseDecomposition,
     big_m = math.lcm(*pump_lengths)
     big_k = decomp.base**big_m
     cls = classify(base_power(decomposition_to_dfao(decomp), big_m))
-    blocks = cls.decomposition.basic_sets
-    best = max(blocks, key=lambda p: p.rank)
-    t_max = max(len(w) for p in blocks for w in p.parts[::2])
-    members = enumerate_members(decomp, verify_bound)
-
-    last_error = None
-    for c_exp in list(range(1, t_max + 2)) + [2 * (t_max + 2)]:
-        u = best.word([c_exp] * best.rank)[len(best.parts[0]):]
-        try:
-            return _intersect_and_shape(decomp.base, cls.lsd, members, big_k,
-                                        u, verify_bound)
-        except _ShapeRetry as exc:
-            last_error = exc
-    raise BudgetExceeded(f"normal form not reached: {last_error}")
-
-
-class _ShapeRetry(Exception):
-    pass
-
-
-def _lsd_prefix_dfao(base: int, u: tuple[int, ...]) -> Dfao:
-    """LSD acceptor of values congruent to [u] mod base^len(u)."""
-    n = len(u)
-    # states 0..n (matched so far), n+1 dead
-    dead = n + 1
-    table = []
-    outs = []
-    for i in range(n):
-        row = [dead] * base
-        row[u[i]] = i + 1
-        table.append(tuple(row))
-        outs.append(1 if all(d == 0 for d in u[i:]) else 0)
-    table.append(tuple([n] * base))
-    outs.append(1)
-    table.append(tuple([dead] * base))
-    outs.append(0)
-    return Dfao(base, tuple(table), tuple(outs), 0, ReadingOrder.LSD)
-
-
-def _intersect_and_shape(base: int, value_lsd: Dfao, members: list[int],
-                         big_k: int, u: tuple[int, ...],
-                         verify_bound: int) -> NormalForm:
-    """The normal form on big_k^|u| Z + [u]_big_k of the set that the LSD
-    automaton ``value_lsd`` accepts, checked against ``members``, the
-    input's members below ``verify_bound``."""
-    suffix_dfao = _lsd_prefix_dfao(big_k, tuple(reversed(u)))
-    inter = product(value_lsd, suffix_dfao, lambda a, b: a * b)
-    cls = classify(inter)
-    if not cls.is_very_sparse:
-        raise _ShapeRetry("intersection not very sparse (unexpected)")
-    branches = []
-    pump_words = set()
-    constants = []
-    for pat in cls.decomposition.basic_sets:
-        if pat.rank == 0:
-            # an isolated member equal to the residue itself is the
-            # degenerate family [0^l u]; anything else cannot be shaped
-            value = from_digits(pat.parts[0], big_k)
-            if value == from_digits(u, big_k):
-                constants.append(value)
-                continue
-            raise _ShapeRetry("finite leftover branch")
-        if pat.rank > 1:
-            raise _ShapeRetry("branch with more than one pump")
-        w0, u1, w1 = pat.parts
-        if len(w1) < len(u) or w1[len(w1) - len(u):] != u:
-            raise _ShapeRetry("branch tail does not end with the suffix")
-        x = w1[: len(w1) - len(u)]
-        # members w0 u1^l x u -> v w^l u: write x = u1^q h with h a proper
-        # prefix of u1 (u1 = h y); then u1^{l+q} h = h (y h)^{l+q} and the q
-        # whole copies commute into the prefix
-        q, rem = divmod(len(x), len(u1))
-        if x != u1 * q + u1[:rem]:
-            raise _ShapeRetry("pump cannot be rotated past the remainder")
-        h = u1[:rem]
-        y = u1[rem:]
-        w = y + h
-        v = w0 + h + w * q
-        branches.append((tuple(v), tuple(w)))
-        pump_words.add(tuple(w))
-    if len(pump_words) > 1:
-        raise _ShapeRetry("branches disagree on the common pump")
-    if constants:
-        pump = next(iter(pump_words)) if pump_words else (0,)
-        if any(pump):
-            raise _ShapeRetry("constant branch needs an all-zero common pump")
-        branches.append(((), tuple(pump)))
-        pump_words.add(tuple(pump))
-    modulus = big_k ** len(u)
-    residue = from_digits(u, big_k)
-    nf = NormalForm(base=base, block_base=big_k, modulus=modulus,
-                    residue=residue, suffix=tuple(u),
-                    branches=tuple(branches), verified_bound=verify_bound)
-    # machine verification by enumeration
-    want = {v for v in members if v % modulus == residue}
-    got = set(enumerate_members(nf.decomposition(), verify_bound))
-    if want != got:
-        raise _ShapeRetry(
-            f"verification mismatch: {sorted(want ^ got)[:5]} ...")
+    best = max(cls.decomposition.basic_sets, key=lambda p: p.rank)
+    u = best.word([1] * best.rank)[len(best.parts[0]):]
+    patterns = classify(_on_progression(cls.lsd, u)).decomposition.basic_sets
+    branches = [pat.parts[:2] for pat in patterns if pat.rank]
+    if len(branches) < len(patterns):
+        branches.append(((), (0,)))
+    nf = NormalForm(base=decomp.base, block_base=big_k, modulus=big_k**len(u),
+                    residue=from_digits(u, big_k), suffix=u,
+                    branches=tuple(branches))
+    prove_normal_form(nf, cls.lsd)
     return nf
+
+
+def _on_progression(lsd: Dfao, suffix: tuple[int, ...]) -> Dfao:
+    """``lsd`` cut with the LSD acceptor of the values congruent to
+    [suffix] mod base^len(suffix).  That acceptor is leading-zero invariant,
+    so the product is whenever ``lsd`` is."""
+    u = suffix[::-1]
+    n, dead = len(u), len(u) + 1
+    # state i < n: the first i digits of u read; n: all of u; dead: a mismatch
+    table = [tuple(i + 1 if d == u[i] else dead for d in range(lsd.base))
+             for i in range(n)] + [(n,) * lsd.base, (dead,) * lsd.base]
+    outs = tuple(int(not any(u[i:])) for i in range(n)) + (1, 0)
+    progression = Dfao(lsd.base, tuple(table), outs, 0, ReadingOrder.LSD)
+    return product(lsd, progression, lambda a, b: a * b)
+
+
+def prove_normal_form(nf: NormalForm, lsd: Dfao):
+    """Prove for all n that ``nf`` lists exactly the members on its
+    progression of the set that ``canonical(lsd)`` accepts, ``lsd`` an LSD
+    automaton in base ``nf.block_base``, evaluating nothing.
+
+    One equivalence walk between the canonical LSD automaton of
+    ``nf.decomposition()`` and ``lsd`` cut with the progression.  Both are
+    leading-zero invariant, so the least shortest distinguishing word never
+    ends in 0: it is the word of an n in one set and not in the other.
+    Raises ValueError on another order or base, or a progression that is
+    not the suffix's residue class; AssertionError naming that n.
+    """
+    big_k = nf.block_base
+    if lsd.order is not ReadingOrder.LSD or lsd.base != big_k:
+        raise ValueError("a state proof needs an LSD automaton of the block base")
+    if (nf.modulus, nf.residue) != (big_k**len(nf.suffix),
+                                    from_digits(nf.suffix, big_k)):
+        raise ValueError("the progression is not the residue class of the suffix")
+    word = distinguishing_word(to_lsd(decomposition_to_dfao(nf.decomposition())),
+                               _on_progression(canonical(lsd), nf.suffix))
+    if word is not None:
+        raise AssertionError(
+            f"normal form differs at n={from_digits_lsd(word, big_k)}")
 
 
 # ---------------------------------------------------------------------------
@@ -1101,11 +1049,12 @@ def powers_reduction_demo(decomp: VerySparseDecomposition,
     member map to coefficient-times-power sets, divide by the first
     coefficient, and cut with one more progression, landing on {K^(2l)}.
 
-    Every stage is checked by enumeration up to the horizon; nothing is
-    proven here, the steps are replayed on concrete data.
+    The normal form itself is proved for all n; every stage, the first
+    included, is replayed by enumeration up to the horizon, and nothing
+    else is proven here.
     """
     stages: list[ReductionStage] = []
-    nf = normalize_arith_progression(decomp, verify_bound=horizon)
+    nf = normalize_arith_progression(decomp)
     k0 = nf.block_base
     a_members = [v for v in enumerate_members(decomp, horizon)
                  if v % nf.modulus == nf.residue]

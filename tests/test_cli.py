@@ -218,6 +218,22 @@ def test_ips_states_proof_reaches_past_the_replay_horizon(files, tmp_path):
         2**m * n + r2)
 
 
+def test_normalize_powers(files):
+    code, rep = invoke(["sparsity", "normalize", "--file",
+                        str(files / "powers2.aut")])
+    assert code == 0
+    assert rep["results"] == {"block_base": 2, "modulus": 2, "residue": 0,
+                              "suffix": [0], "branches": [{"v": [1], "w": [0]}]}
+
+
+def test_normalize_branching_input_exits_one(files):
+    code, rep = invoke(["sparsity", "normalize", "--file",
+                        str(files / "free11.aut")])
+    assert code == 1
+    assert rep["results"] == {
+        "error": "automaton is on the branching side of the dichotomy"}
+
+
 def test_determinism(files):
     argv = ["sparsity", "growth", "--file", str(files / "powers2.aut"),
             "--log2-max", "14"]

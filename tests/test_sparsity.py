@@ -48,12 +48,12 @@ from nilseq.sparsity import (
     growth_census,
     ip_plus_witness,
     ips_witness,
-    is_member,
     make_decomposition,
     normalize_arith_progression,
     promising_states,
     prove_ip_plus,
     prove_ips,
+    prove_normal_form,
     verify_ip_plus,
     verify_ips,
     very_sparse_decomposition,
@@ -220,12 +220,14 @@ def test_decomposition_membership_sampled():
     rng = random.Random(11)
     for name, dfao in [("powers", powers_acceptor(2)), ("rank2", rank2_acceptor())]:
         cls = classify(dfao)
-        members = set(enumerate_members(cls.decomposition, 1 << 16))
+        msd = to_msd(dfao)
+        members = set(enumerate_members(cls.decomposition, 1 << 48))
+        assert all(msd.eval(n) == 1 for n in members), name
         for n in range(1 << 12):
-            assert (n in members) == (to_msd(dfao).eval(n) == 1), (name, n)
+            assert (n in members) == (msd.eval(n) == 1), (name, n)
         for _ in range(10**3):
             n = rng.randrange(1 << 48)
-            assert is_member(cls.decomposition, n) == (to_msd(dfao).eval(n) == 1)
+            assert (n in members) == (msd.eval(n) == 1), (name, n)
 
 
 def test_rank2_fixture_counts():
@@ -583,7 +585,7 @@ def test_state_proofs_agree_with_evaluation(dfao, tamper):
 
 def test_normalize_powers():
     decomp = classify(powers_acceptor(2)).decomposition
-    nf = normalize_arith_progression(decomp, verify_bound=1 << 40)
+    nf = normalize_arith_progression(decomp)
     assert nf.modulus == 2 and nf.residue == 0
     assert nf.branches == (((1,), (0,)),)
     assert nf.suffix == (0,)
@@ -592,7 +594,7 @@ def test_normalize_powers():
 def test_normalize_single_branch_fixed_point():
     # {[1 0^l 0]_2}: already in (v, w, u) shape
     decomp = make_decomposition(2, [[(1,), (0,), (0,)]])
-    nf = normalize_arith_progression(decomp, verify_bound=1 << 36)
+    nf = normalize_arith_progression(decomp)
     assert nf.modulus == 2**len(nf.suffix)
     got = set(enumerate_members(nf.decomposition(), 1 << 36))
     want = {v for v in enumerate_members(decomp, 1 << 36)
@@ -601,7 +603,7 @@ def test_normalize_single_branch_fixed_point():
 
 
 def test_normalize_rank2():
-    nf = normalize_arith_progression(RANK2, verify_bound=1 << 40)
+    nf = normalize_arith_progression(RANK2)
     # each surviving branch has a single pump
     for v, w in nf.branches:
         assert len(w) >= 1
@@ -615,7 +617,7 @@ def test_normalize_mixed_pump_lengths():
     # pumps "0" and "00": lcm alignment and exponent-residue splitting
     decomp = make_decomposition(2, [[(1,), (0,), (1,)],
                                     [(1, 1), (0, 0), (1, 1)]])
-    nf = normalize_arith_progression(decomp, verify_bound=1 << 34)
+    nf = normalize_arith_progression(decomp)
     got = set(enumerate_members(nf.decomposition(), 1 << 34))
     want = {v for v in enumerate_members(decomp, 1 << 34)
             if v % nf.modulus == nf.residue}
@@ -626,7 +628,7 @@ def test_normalize_adjacent_pumps():
     # members 1 (01)^a (11)^b: the two pump loops once shared a state, so
     # the acceptor took interleavings such as 29 = 0b11101 and the
     # intersection with the progression was not very sparse
-    nf = normalize_arith_progression(ADJACENT_PUMPS, verify_bound=1 << 34)
+    nf = normalize_arith_progression(ADJACENT_PUMPS)
     got = set(enumerate_members(nf.decomposition(), 1 << 34))
     want = {v for v in enumerate_members(ADJACENT_PUMPS, 1 << 34)
             if v % nf.modulus == nf.residue}
@@ -639,11 +641,30 @@ def test_normalize_rejects_finite():
         normalize_arith_progression(decomp)
 
 
+def test_prove_normal_form_refuses_a_changed_branch():
+    nf = normalize_arith_progression(RANK2)
+    assert nf.block_base == 2
+    dfao = decomposition_to_dfao(RANK2)
+    lsd = to_lsd(dfao)
+    prove_normal_form(nf, lsd)
+    with pytest.raises(ValueError):
+        prove_normal_form(nf, dfao)
+    (v, w), *rest = nf.branches
+    for branch in ((v + (1,), w), (v, (1,)), ((), w)):
+        tampered = replace(nf, branches=(branch, *rest))
+        with pytest.raises(AssertionError) as exc:
+            prove_normal_form(tampered, lsd)
+        n = int(str(exc.value).split("n=")[1])
+        assert n % nf.modulus == nf.residue
+        in_tampered = n in enumerate_members(tampered.decomposition(), n + 1)
+        assert (dfao.eval(n) == 1) != in_tampered, (branch, n)
+
+
 @given(decomposition(max_patterns=3).filter(lambda d: d.rank > 0))
 @settings(max_examples=200, deadline=None)
 def test_normal_form_matches_members_on_its_progression(decomp):
     bound = 1 << 24
-    nf = normalize_arith_progression(decomp, bound)
+    nf = normalize_arith_progression(decomp)
     want = [v for v in enumerate_members(decomp, bound)
             if v % nf.modulus == nf.residue]
     assert enumerate_members(nf.decomposition(), bound) == want
