@@ -311,17 +311,15 @@ def base_power(dfao: Dfao, a: int) -> Dfao:
     if a == 1:
         return dfao
     k = dfao.base
-    transitions = []
-    for s in range(dfao.n_states):
-        row = []
-        for block_value in range(k**a):
-            digits = to_digits(block_value, k)
-            digits = (0,) * (a - len(digits)) + digits
-            if dfao.order is ReadingOrder.LSD:
-                digits = tuple(reversed(digits))
-            row.append(dfao.run(s, digits))
-        transitions.append(tuple(row))
-    return Dfao(k**a, tuple(transitions), dfao.outputs, dfao.initial, dfao.order)
+    # the a-digit word of each block, in reading order, built once
+    words = []
+    for block_value in range(k**a):
+        digits = to_digits(block_value, k)
+        digits = (0,) * (a - len(digits)) + digits
+        words.append(digits[::-1] if dfao.order is ReadingOrder.LSD else digits)
+    transitions = tuple(tuple(dfao.run(s, word) for word in words)
+                        for s in range(dfao.n_states))
+    return Dfao(k**a, transitions, dfao.outputs, dfao.initial, dfao.order)
 
 
 def product(dfao1: Dfao, dfao2: Dfao, combiner: Callable) -> Dfao:

@@ -777,6 +777,18 @@ def exact_enclosure(x: Exact, bits: int) -> IntervalValue:
     return IntervalValue(Fraction(lo, scale), Fraction(hi, scale), bits)
 
 
+def exact_ball(x: Union[SurdSum, CubicElem], bits: int) -> tuple[int, int, int]:
+    """Integers mid, rad and scale = 2^bits with |x - mid/scale| <= rad/scale,
+    read off x's bounds at bits: a midpoint-radius ball (van der Hoeven,
+    "Ball arithmetic", 2009).  Balls of several elements at one bits share
+    the scale, so integer combinations of them add midpoints exactly and
+    radii by absolute value."""
+    lo, hi, scale = _bounds(x, bits)
+    lo, hi = (lo << bits) // scale, -((-hi << bits) // scale)
+    mid = (lo + hi) >> 1
+    return mid, hi - mid, 1 << bits
+
+
 def exact_is_integer(x: Value) -> Optional[int]:
     """The integer x is, when the exact layer shows it; None otherwise (an
     enclosure never shows it)."""

@@ -11,8 +11,10 @@ predicate h(q)^2 < 1/g(q) that tracks them.
 
 The cubic side computes in Q(beta) with exactreal's ``CubicElem`` (integer
 numerators over one denominator; 1/beta = beta^2 - a beta - b lies in
-Z[beta]), so every comparison is an exact sign test of integer bounds built
-from the field's bounds of beta and beta^2.
+Z[beta]), so every comparison is decided exactly: by a sign test of integer
+bounds built from the field's bounds of beta and beta^2, or, in the
+best-approximation search, first by integer midpoint-radius balls, with
+that sign test only where two balls overlap.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .exactreal import (
     cubic_inverse,
     exact_abs,
     exact_add,
+    exact_ball,
     exact_compare,
     exact_dist,
     exact_enclosure,
@@ -196,10 +199,14 @@ class PisotCubicParams:
         k2 = exact_add(exact_mul(self.norm_b, inv),
                        exact_mul(self.norm_c, exact_mul(inv2, Fraction(2))))
         self.theta_norm_sq = self.norm_sq(inv, inv2)
-        # coordinate i of (K1, K2, A, B, C), for the box search
-        self._box_terms = tuple(zip(*((e.n0, e.n1, e.n2) for e in
-                                      (k1, k2, self.norm_a, self.norm_b,
-                                       self.norm_c))))
+        terms = (k1, k2, self.norm_a, self.norm_b, self.norm_c)
+        # coordinate i of (K1, K2, A, B, C): the exact offsets of the box search
+        self._box_terms = tuple(zip(*((e.n0, e.n1, e.n2) for e in terms)))
+        # (mid, rad) of K1, K2, A, B, C and of N(theta)^2 at one scale, the
+        # field's first rung: the box search's filter
+        bits = self.field.policy.ladder()[0]
+        self._balls = tuple(exact_ball(e, bits)[:2] for e in terms)
+        self._theta_ball = exact_ball(self.theta_norm_sq, bits)[:2]
         self._beta_float = exact_enclosure(self.beta, 64).to_float()
 
     def zb_sign(self, x: CubicElem) -> int:
@@ -261,28 +268,73 @@ def _lattice_min(params: PisotCubicParams, q: int,
 
     theta = (1/beta, 1/beta^2).  The box holds the (2 radius + 2)^2 points
     with p_i from floor(q theta_i) - radius to floor(q theta_i) + radius + 1;
-    its size is fixed, not widened.  Points are compared through
-    N(q theta - p)^2 - N(q theta)^2 = A p1^2 + B p1 p2 + C p2^2
+    its size is fixed, not widened.  Points are compared through their
+    offset N(q theta - p)^2 - N(q theta)^2 = A p1^2 + B p1 p2 + C p2^2
     - q (p1 K1 + p2 K2), an integer combination of five fixed elements of
-    Z[beta]: one sign test per point, no field multiplication.  The
-    winner's norm is built once.
+    Z[beta], each read once as an integer ball (``exact_ball``).  The
+    offset's midpoint is then an exact integer, stepped along each p2 row by
+    the finite differences of the quadratic form, and its radius is at most
+    one bound per q, taken from the largest |p1|, |p2| in the box.
+
+    Points are walked in order and the first strict minimum wins.  The
+    exact offset lies in its ball, so a point whose ball lies wholly below
+    the best's is smaller and replaces it, and one whose ball lies at or
+    above is not smaller and does not.  Only when the two balls overlap are
+    both exact offsets built and their difference signed by
+    ``params.zb_sign``.  Every decision is the exact one, so ties break as
+    an all-exact walk breaks them.  The winner's norm is the one exact
+    element built.
     """
-    field = params.field
-    c1 = q / params._beta_float
-    c2 = q / (params._beta_float * params._beta_float)
+    point = _box_min(params, q, radius)[0]
+    return _norm_at(params, q, point), point
+
+
+def _box_min(params: PisotCubicParams, q: int,
+             radius: int) -> tuple[tuple[int, int], int, int]:
+    """``_lattice_min``'s argmin p, and the ball (mid, rad) of its offset at
+    the scale of ``params._balls``."""
+    (k1, r1), (k2, r2), (fa, ra), (fb, rb), (fc, rc) = params._balls
+    fc2 = 2 * fc
+    lo1 = math.floor(q / params._beta_float) - radius
+    lo2 = math.floor(q / (params._beta_float * params._beta_float)) - radius
+    hi1, hi2 = lo1 + 2 * radius + 1, lo2 + 2 * radius + 1
+    m1, m2 = max(-lo1, hi1), max(-lo2, hi2)
+    rad = q * (m1 * r1 + m2 * r2) + m1 * m1 * ra + m1 * m2 * rb + m2 * m2 * rc
+    gap = 2 * rad  # two balls of radius rad overlap within this distance
     best = best_p = None
-    for p1 in range(math.floor(c1) - radius, math.floor(c1) + radius + 2):
-        for p2 in range(math.floor(c2) - radius, math.floor(c2) + radius + 2):
-            u, v, w, x, y = -q * p1, -q * p2, p1 * p1, p1 * p2, p2 * p2
-            off = [u * k1 + v * k2 + w * fa + x * fb + y * fc
-                   for k1, k2, fa, fb, fc in params._box_terms]
-            if best is None or params.zb_sign(CubicElem(
-                    field, off[0] - best[0], off[1] - best[1],
-                    off[2] - best[2])) < 0:
-                best, best_p = off, (p1, p2)
-    norm = exact_add(exact_mul(params.theta_norm_sq, Fraction(q * q)),
-                     CubicElem(field, *best))
-    return norm, best_p
+    for p1 in range(lo1, hi1 + 1):
+        val = p1 * (p1 * fa - q * k1) + lo2 * (lo2 * fc + p1 * fb - q * k2)
+        step = p1 * fb - q * k2 + (2 * lo2 + 1) * fc
+        for p2 in range(lo2, hi2 + 1):
+            if best is None or val < below or (
+                    val < above and _offset_below(params, q, (p1, p2), best_p)):
+                best, best_p = val, (p1, p2)
+                below, above = val - gap, val + gap
+            val += step
+            step += fc2
+    return best_p, best, rad
+
+
+def _offset(params: PisotCubicParams, q: int, p: tuple[int, int]) -> list[int]:
+    """The Z[beta] numerators of N(q theta - p)^2 - N(q theta)^2."""
+    p1, p2 = p
+    u, v, w, x, y = -q * p1, -q * p2, p1 * p1, p1 * p2, p2 * p2
+    return [u * k1 + v * k2 + w * fa + x * fb + y * fc
+            for k1, k2, fa, fb, fc in params._box_terms]
+
+
+def _offset_below(params: PisotCubicParams, q: int, p: tuple[int, int],
+                  ref: tuple[int, int]) -> bool:
+    """Whether p's offset is strictly below ref's, by one exact sign test."""
+    off, ref_off = _offset(params, q, p), _offset(params, q, ref)
+    return params.zb_sign(CubicElem(params.field,
+                                    *(a - b for a, b in zip(off, ref_off)))) < 0
+
+
+def _norm_at(params: PisotCubicParams, q: int, p: tuple[int, int]) -> CubicElem:
+    """N(q theta - p)^2, exactly."""
+    return exact_add(exact_mul(params.theta_norm_sq, Fraction(q * q)),
+                     CubicElem(params.field, *_offset(params, q, p)))
 
 
 def rauzy_norm_sq(params: PisotCubicParams, x1: Fraction, x2: Fraction) -> CubicElem:
@@ -318,19 +370,32 @@ def best_approximations(params: PisotCubicParams, q_max: int) -> BestApproxRepor
     """Running-minimum scan of N0(q theta) for q = 1..q_max.
 
     q is flagged best when its distance strictly beats every smaller q.
-    All comparisons are exact Z[beta] sign tests; ties therefore resolve
-    exactly (an equal minimum simply is not flagged).
+    Each q's box minimum comes with the ball of its offset (see
+    ``_lattice_min``); adding q^2 times the ball of N(theta)^2 gives a ball
+    of the minimum itself.  A ball wholly below the running minimum's flags
+    q, and one at or above does not; only when they overlap is q's norm
+    built and its difference to the running minimum signed by
+    ``params.zb_sign``.  The norm is otherwise built for flagged q only.
+    Every decision is the exact Z[beta] one, so ties resolve exactly (an
+    equal minimum simply is not flagged).
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
+    t_mid, t_rad = params._theta_ball
     flagged: list[BestApproxRecord] = []
-    running: Optional[CubicElem] = None
+    run_lo = run_hi = 0
     for q in range(1, q_max + 1):
-        val, point = _lattice_min(params, q, radius=2)
-        if running is None or params.zb_sign(
-                exact_add(val, exact_neg(running))) < 0:
-            flagged.append(BestApproxRecord(q, point, val))
-            running = val
+        point, mid, rad = _box_min(params, q, radius=2)
+        mid += q * q * t_mid
+        rad += q * q * t_rad
+        if flagged and mid - rad >= run_hi:
+            continue
+        val = _norm_at(params, q, point)
+        if flagged and mid + rad >= run_lo and params.zb_sign(
+                exact_add(val, exact_neg(flagged[-1].norm_sq))) >= 0:
+            continue
+        flagged.append(BestApproxRecord(q, point, val))
+        run_lo, run_hi = mid - rad, mid + rad
     return BestApproxReport(q_max, flagged)
 
 

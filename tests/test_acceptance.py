@@ -153,7 +153,7 @@ def test_criterion_05_fibonacci():
         assert exact_compare(m, lo) > 0 and exact_compare(m, hi) < 0
 
 
-@criterion(6, 600, "cubic Pisot (1,0): best approximations, norm decay, gp predicate")
+@criterion(6, 120, "cubic Pisot (1,0): best approximations, norm decay, gp predicate")
 def test_criterion_06_pisot():
     params = pisot_cubic_check(1, 0)
     qmax = 10**5

@@ -16,6 +16,7 @@ from nilseq.exactreal import (
     PrecisionPolicy,
     decide,
     exact_add,
+    exact_ball,
     exact_compare,
     exact_enclosure,
     exact_floor,
@@ -158,6 +159,24 @@ def test_cubic_floor_and_sign_match_mpmath(cubic, nums, den, other):
             iv = exact_enclosure(elem, 96)
             assert (mpmath.mpf(iv.lower.numerator) / iv.lower.denominator <= value
                     <= mpmath.mpf(iv.upper.numerator) / iv.upper.denominator)
+
+
+@given(st.sampled_from(CUBICS),
+       st.tuples(*[st.integers(-10**6, 10**6)] * 3), st.integers(1, 1000),
+       st.sampled_from([4, 64]))
+@settings(max_examples=100, deadline=None)
+def test_exact_ball_encloses_the_value(cubic, nums, den, bits):
+    coeffs, lo, hi = cubic
+    x = CubicElem(CubicField(coeffs, lo, hi), *nums, den)
+    mid, rad, scale = exact_ball(x, bits)
+    assert scale == 1 << bits
+    root = _mp_root(coeffs, lo, hi)
+    with mpmath.workprec(400):
+        value = (x.n0 + x.n1 * root + x.n2 * root**2) / x.den
+        assert mid - rad <= value * scale <= mid + rad
+    # no wider than the enclosure at bits, up to rounding to the scale
+    iv = exact_enclosure(x, bits)
+    assert 2 * rad <= (iv.upper - iv.lower) * scale + 3
 
 
 def test_cubic_rejects_reducible(wall_clock_limit):

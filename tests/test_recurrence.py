@@ -1,10 +1,14 @@
+import functools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from nilseq import recurrence
 from nilseq.exactreal import (
     exact_add,
+    exact_ball,
     exact_compare,
     exact_enclosure,
     exact_mul,
@@ -14,6 +18,8 @@ from nilseq.exactreal import (
 from nilseq.genpoly import PrecisionPolicy
 from nilseq.recurrence import (
     InvalidPisot,
+    PisotCubicParams,
+    _lattice_min,
     best_approximations,
     cubic_terms,
     fibonacci_like_set,
@@ -205,6 +211,68 @@ def test_m_ratio_along_best_sequence():
         hi = exact_mul(p.m1_sq, Fraction(10201, 10000))
         assert exact_compare(ratio_num, lo) > 0
         assert exact_compare(ratio_num, hi) < 0
+
+
+@functools.lru_cache(maxsize=None)
+def _pisot(a, b):
+    return pisot_cubic_check(a, b)
+
+
+def _valid(a, b):
+    try:
+        _pisot(a, b)
+    except InvalidPisot:
+        return False
+    return True
+
+
+# the grid of scripts/pisot_survey.py
+SURVEY_PARAMS = [(a, b) for a in range(4) for b in range(-1, a + 2) if _valid(a, b)]
+
+
+def _exact_box_min(params, q, radius):
+    """Every box point's N(q theta - p)^2 built exactly and compared with the
+    best so far by exact_sign; the first strict minimum wins."""
+    c1 = math.floor(q / params._beta_float)
+    c2 = math.floor(q / (params._beta_float * params._beta_float))
+    x1 = exact_mul(params.beta_inv, Fraction(q))
+    x2 = exact_mul(params.beta_inv2, Fraction(q))
+    best = best_p = None
+    for p1 in range(c1 - radius, c1 + radius + 2):
+        for p2 in range(c2 - radius, c2 + radius + 2):
+            val = params.norm_sq(exact_add(x1, Fraction(-p1)),
+                                 exact_add(x2, Fraction(-p2)))
+            if best is None or exact_sign(exact_add(val, exact_neg(best))) < 0:
+                best, best_p = val, (p1, p2)
+    return best, best_p
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SURVEY_PARAMS), st.integers(1, 1 << 22))
+@example((1, 0), 1)
+@example((3, -1), 1 << 22)
+def test_box_filter_matches_exact_box_min(ab, q):
+    params = _pisot(*ab)
+    assert _lattice_min(params, q, 2) == _exact_box_min(params, q, 2)
+
+
+@pytest.mark.parametrize("a, b", [(1, 0), (3, -1)])
+def test_box_filter_fallback_agrees(monkeypatch, a, b):
+    # 4-bit balls overlap at almost every comparison, leaving it to zb_sign
+    want = best_approximations(pisot_cubic_check(a, b), 1500).flagged
+    signs = []
+    zb_sign = PisotCubicParams.zb_sign
+
+    def counted(self, x):
+        signs.append(x)
+        return zb_sign(self, x)
+
+    monkeypatch.setattr(recurrence, "exact_ball", lambda x, bits: exact_ball(x, 4))
+    monkeypatch.setattr(PisotCubicParams, "zb_sign", counted)
+    params = pisot_cubic_check(a, b)
+    signs.clear()
+    assert best_approximations(params, 1500).flagged == want
+    assert len(signs) > 1500
 
 
 # --- the gp predicate -------------------------------------------------------
