@@ -1,5 +1,10 @@
 #!/usr/bin/env python3
-"""Run every bundled demo through the CLI runner and collect the reports."""
+"""Run every bundled demo through the CLI runner, collect the reports, and
+run ``nilseq verify`` on each report that carries certificates.
+
+Usage: python scripts/run_demos.py [OUT_DIR]   (default: demo_reports)
+Exits 1 when a demo fails or a certificate does not verify.
+"""
 
 import json
 import pathlib
@@ -21,8 +26,7 @@ def main() -> int:
     failures = 0
     for argv in DEMOS:
         name = argv[1]
-        proc = subprocess.run([sys.executable, "-m", "nilseq.cli", *argv],
-                              capture_output=True, text=True)
+        proc = _cli(*argv)
         path = out_dir / f"{name}.json"
         path.write_text(proc.stdout)
         status = "ok" if proc.returncode == 0 else f"exit {proc.returncode}"
@@ -30,10 +34,21 @@ def main() -> int:
         if proc.returncode != 0:
             failures += 1
             continue
-        report = json.loads(proc.stdout)
-        for cert in report.get("certificates", []):
-            print(f"    certificate: {cert['type']}")
+        if not json.loads(proc.stdout)["certificates"]:
+            continue
+        results = json.loads(_cli("verify", "--report", str(path)).stdout)["results"]
+        for o in results.get("outcomes", []):
+            print(f"    certificate: {o['type']} "
+                  f"{'verified' if o['ok'] else 'FAILED: ' + o['detail']}")
+        if results.get("verified") is not True:
+            print(f"    not verified: {results.get('error', 'a certificate failed')}")
+            failures += 1
     return 1 if failures else 0
+
+
+def _cli(*argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "nilseq.cli", *argv],
+                          capture_output=True, text=True)
 
 
 if __name__ == "__main__":

@@ -16,9 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import accumulate
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from .digits import DigitWord, from_digits, to_digits, to_digits_lsd
+from .digits import DigitWord, to_digits, to_digits_lsd
 
 
 class BudgetExceeded(Exception):
@@ -501,76 +502,65 @@ def baum_sweet() -> Dfao:
 # pumping
 
 
-def pumping_witness(dfao: Dfao, value: Hashable, L: int = 0,
-                    length_slack: int | None = None
+def pumping_witness(dfao: Dfao, value: Hashable, L: int = 0
                     ) -> tuple[DigitWord, DigitWord, DigitWord]:
     """Words u0, v, u1 with v nonempty and eval([u0 v^t u1]_k) = value for all t.
 
-    The pump is placed at position >= L of a witness word of
-    ``canonical(dfao)`` found by layered search; the state-count is used as
-    the pumping constant and the search widens by ``length_slack`` extra
-    lengths before giving up.  The returned triple is verified for t <= 8.
+    The pump is a repeated state at positions L..L+N of the least shortest
+    word of length at least L + N that ``canonical(dfao)`` (N states) reads
+    to ``value``, searched up to length L + 3N + 2.  The triple is proved
+    for every t by ``check_pumping_witness``.
     """
     dfao = canonical(dfao)
     N = dfao.n_states
-    if length_slack is None:
-        length_slack = 2 * N + 2
-    k = dfao.base
-    for total in range(L + N, L + N + length_slack + 1):
-        word = _find_word_of_length(dfao, value, total)
-        if word is None:
-            continue
-        path = [dfao.initial]
-        for d in word:
-            path.append(dfao.step(path[-1], d))
-        seen_at = {}
-        for pos in range(L, min(L + N, len(word)) + 1):
-            s = path[pos]
-            if s in seen_at:
-                i, j = seen_at[s], pos
-                u0, v, u1 = word[:i], word[i:j], word[j:]
-                triple = _orient_triple(dfao, u0, v, u1)
-                if check_pumping_witness(dfao, triple, value, 8):
-                    return triple
-            else:
-                seen_at[s] = pos
-    raise BudgetExceeded(
-        f"no pumping witness for value {value!r} within search budget")
+    longest = L + 3 * N + 2
 
-
-def _orient_triple(dfao, u0, v, u1):
-    # native word-space triple -> MSD components of [u0 v^t u1]_k
-    if dfao.order is ReadingOrder.MSD:
-        a, b, c = u0, v, u1
-    else:
-        a, b, c = tuple(reversed(u1)), tuple(reversed(v)), tuple(reversed(u0))
-    return (DigitWord(dfao.base, a), DigitWord(dfao.base, b), DigitWord(dfao.base, c))
-
-
-def check_pumping_witness(dfao: Dfao, triple, value, t_max: int) -> bool:
-    u0, v, u1 = triple
-    if len(v) == 0:
-        return False
-    for t in range(t_max + 1):
-        word = u0.digits + v.digits * t + u1.digits
-        if dfao.eval(from_digits(word, dfao.base)) != value:
-            return False
-    return True
-
-
-def _find_word_of_length(dfao: Dfao, value, length: int):
-    """The least word of length ``length`` that the automaton reads to an
-    output of ``value``, None when there is none."""
     def successors(key):
         s, depth = key
-        if depth == length:
-            return ()
-        return ((d, (t, depth + 1)) for d, t in dfao.successors(s))
+        return () if depth == longest else (
+            (d, (t, depth + 1)) for d, t in dfao.successors(s))
 
     links = reach([(dfao.initial, 0)], successors)
     target = next((key for key in links
-                   if key[1] == length and dfao.outputs[key[0]] == value), None)
-    return None if target is None else word_to(links, target)
+                   if key[1] >= L + N and dfao.outputs[key[0]] == value), None)
+    if target is None:
+        raise BudgetExceeded(
+            f"no pumping witness for value {value!r} within search budget")
+    word = word_to(links, target)
+    path = list(accumulate(word, dfao.step, initial=dfao.initial))
+    seen_at = {}
+    for j in range(L, L + N + 1):  # N + 1 positions meet at most N states
+        i = seen_at.setdefault(path[j], j)
+        if i < j:
+            break
+    triple = tuple(DigitWord(dfao.base, w)
+                   for w in _msd_order(dfao, word[:i], word[i:j], word[j:]))
+    if not check_pumping_witness(dfao, triple, value):
+        raise AssertionError(f"pumping witness {triple} fails its proof")
+    return triple
+
+
+def _msd_order(dfao, u0, v, u1):
+    # dfao's words <-> the MSD triple: LSD reverses each word and their order
+    if dfao.order is ReadingOrder.MSD:
+        return u0, v, u1
+    return u1[::-1], v[::-1], u0[::-1]
+
+
+def check_pumping_witness(dfao: Dfao, triple, value) -> bool:
+    """Whether eval([u0 v^t u1]_k) = value for every t, v nonempty.  The
+    states of ``canonical(dfao)`` after u0 v^t, in its own reading order,
+    cycle from their first repeat on, so the outputs after u1 at the states
+    met before it decide every t."""
+    dfao = canonical(dfao)
+    u0, v, u1 = _msd_order(dfao, *(w.digits for w in triple))
+    state, met = dfao.run(dfao.initial, u0), set()
+    while v and state not in met:
+        if dfao.outputs[dfao.run(state, u1)] != value:
+            return False
+        met.add(state)
+        state = dfao.run(state, v)
+    return bool(v)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -160,6 +160,17 @@ def _load_automaton(path: str) -> tuple[Dfao, str]:
     return parse_automaton(text), text
 
 
+def _report_rows(args, report: Report, key: str, columns: tuple, rows: list) -> None:
+    """Bulk (x, value) rows: CSV on stdout, or a list of objects under ``key``."""
+    if args.format == "csv":
+        print(",".join(columns))
+        for x, v in rows:
+            print(f"{x},{v:.12g}")
+        report.results["rows_emitted"] = len(rows)
+    else:
+        report.results[key] = [dict(zip(columns, row)) for row in rows]
+
+
 def _const_expr(text: str):
     text = text.strip()
     if text in CONST_NAMES:
@@ -187,21 +198,16 @@ def _cmd_automaton(args, report: Report) -> None:
         report.results["kernel_size"] = rep.size
         report.results["classes"] = [
             {"level": t, "residue": r} for t, r, _ in rep.classes]
-    elif args.action == "reverse":
-        out = reverse_reading(dfao)
-        report.results["automaton"] = format_automaton(out)
-        report.results["states"] = out.n_states
-    elif args.action == "minimize":
-        out = minimize(dfao)
+    elif args.action in ("reverse", "minimize"):
+        out = (reverse_reading if args.action == "reverse" else minimize)(dfao)
         report.results["automaton"] = format_automaton(out)
         report.results["states"] = out.n_states
     elif args.action == "check":
         report.results["zero_invariant"] = canonical(dfao) is dfao
     elif args.action == "pump":
-        value = args.value if args.value is not None else 1
-        u0, v, u1 = pumping_witness(dfao, value)
+        u0, v, u1 = pumping_witness(dfao, args.value)
         cert = {"type": "pumping", "u0": str(u0), "v": str(v), "u1": str(u1),
-                "value": value, "automaton": format_automaton(dfao)}
+                "value": args.value, "automaton": format_automaton(dfao)}
         report.certificates.append(cert)
         report.results["witness"] = {k: cert[k] for k in ("u0", "v", "u1")}
 
@@ -229,15 +235,8 @@ def _cmd_sparsity(args, report: Report) -> None:
         report.results["window_stats"] = rep.window_stats
     elif args.action == "ips":
         wit = ips_witness(dfao, horizon=args.horizon, depth=args.depth)
-        cert = {
-            "type": "ips_witness", "automaton": format_automaton(dfao),
-            "base": wit.base, "l": wit.l, "m": wit.m, "p": wit.p,
-            "r1": wit.r1, "r2": wit.r2, "n0": wit.n0,
-            "generators": list(wit.generators), "shifts": list(wit.shifts),
-            "verified_depth": wit.verified_depth,
-            "verified_horizon": wit.verified_horizon,
-            "claim": "for all n, on the states of to_lsd(automaton)",
-        }
+        cert = {"type": "ips_witness", "automaton": format_automaton(dfao),
+                **asdict(wit), "claim": "for all n, on the states of to_lsd(automaton)"}
         report.certificates.append(cert)
         report.results["witness"] = {k: cert[k] for k in
                                      ("l", "m", "p", "r1", "r2", "n0")}
@@ -265,18 +264,9 @@ def _cmd_gp(args, report: Report) -> None:
         if res.integer_value is not None:
             report.results["value"] = res.integer_value
     elif args.action == "scan":
-        a, b = args.range
-        rows = []
-        for n in range(a, b):
-            res = eval_gp(expr, n, policy)
-            rows.append((n, res.enclosure.to_float()))
-        if args.format == "csv":
-            print("n,value")
-            for n, v in rows:
-                print(f"{n},{v:.12g}")
-            report.results["rows_emitted"] = len(rows)
-        else:
-            report.results["values"] = [{"n": n, "value": v} for n, v in rows]
+        _report_rows(args, report, "values", ("n", "value"), [
+            (n, eval_gp(expr, n, policy).enclosure.to_float())
+            for n in range(*args.range)])
     elif args.action == "equidist":
         rep = equidistribution_test(expr, args.a, Fraction(args.scale),
                                     args.samples, args.bins, policy)
@@ -297,16 +287,10 @@ def _cmd_gp(args, report: Report) -> None:
 
 def _cmd_fib(args, report: Report) -> None:
     report.inputs_digest = _digest(str(args.a), str(args.horizon))
-    members = scan_quadratic_set(args.a, args.horizon)
-    terms = [t for t in quadratic_terms(args.a, 96) if 1 <= t <= args.horizon]
-    head = sorted(set(terms) ^ set(members))
+    members, head = _emit_quadratic_set(report, args.a, args.horizon)
     report.results["member_count"] = len(members)
     report.results["first_members"] = members[:20]
     report.results["head_difference"] = head
-    report.certificates.append({
-        "type": "quadratic_set", "a": args.a, "horizon": args.horizon,
-        "members_first": members[:64], "head_difference": head,
-    })
 
 
 def _cmd_pisot(args, report: Report) -> None:
@@ -325,29 +309,18 @@ def _cmd_pisot(args, report: Report) -> None:
         report.results["terms"] = cubic_terms(args.a, args.b, args.count)
     elif args.action == "bestapprox":
         rep = best_approximations(params, args.qmax)
-        rows = [(rec.q, rec.norm_enclosure().to_float()) for rec in rep.flagged]
-        if args.format == "csv":
-            print("q,norm")
-            for q, v in rows:
-                print(f"{q},{v:.12g}")
-            report.results["rows_emitted"] = len(rows)
-        else:
-            report.results["flagged"] = [{"q": q, "norm": v} for q, v in rows]
+        _report_rows(args, report, "flagged", ("q", "norm"), [
+            (rec.q, rec.norm_enclosure().to_float()) for rec in rep.flagged])
         terms = [t for t in cubic_terms(args.a, args.b, 64) if t <= args.qmax]
         diff = sorted(set(terms) ^ set(rep.flagged_qs))
         report.results["difference_vs_terms"] = diff
     elif args.action == "gpset":
-        pred = pisot_gp_set(params)
-        members = [q for q in range(1, args.qmax + 1) if pred(q)]
-        rep = best_approximations(params, args.qmax)
-        diff = sorted(set(members) ^ set(rep.flagged_qs))
+        members, _, diff = _gpset_vs_best(params, args.qmax)
+        report.certificates.append({
+            "type": "pisot_gpset", "a": args.a, "b": args.b, "qmax": args.qmax,
+            "members_first": members[:64], "difference_vs_best": diff})
         report.results["member_count"] = len(members)
         report.results["difference_vs_best"] = diff
-        report.certificates.append({
-            "type": "pisot_gpset", "a": args.a, "b": args.b,
-            "qmax": args.qmax, "members_first": members[:64],
-            "difference_vs_best": diff,
-        })
     elif args.action == "powers":
         rep = nearest_power_set_equiv(params)
         report.results["residual_ok"] = rep.residual_ok
@@ -387,17 +360,13 @@ def _cmd_ip(args, report: Report) -> None:
         report.results["first"] = [v for _, _, v in rows[:64]]
     elif args.action == "check":
         pred, pred_text = _parse_pred(args)
-        chk = contains_fs(pred, gens, min(args.depth, len(values)))
+        chk = _emit_fs_containment(report, pred, gens, min(args.depth, len(values)),
+                                   {"pred": pred_text})
         report.inputs_digest = _digest(gens_text, pred_text)
         report.results["contained"] = chk.ok
         if not chk.ok:
             report.results["first_failure"] = {
                 "alpha": list(chk.first_failure), "value": chk.failure_value}
-        report.certificates.append({
-            "type": "fs_containment", "generators": list(values),
-            "depth": chk.depth, "ok": chk.ok,
-            "pred": pred_text,
-        })
 
 
 def _cmd_orbit(args, report: Report) -> None:
@@ -417,23 +386,12 @@ def _cmd_orbit(args, report: Report) -> None:
         f = heisenberg_fracpart(alpha, beta, args.n)
         report.results["fracpart"] = [_iv_json(to_interval(x, 96)) for x in f]
     elif args.action == "scan":
-        alpha = _const_expr(args.alpha)
-        beta = _const_expr(args.beta)
-        eps = EpsilonSchedule.parse(args.eps)
-        suffix = (DigitWord.parse(args.suffix, args.base)
-                  if args.suffix else DigitWord(args.base, ()))
-        hit = suffix_hit_scan(alpha, beta, eps, args.base, suffix, args.nmax)
-        if hit is None:
-            report.results["outcome"] = "exhausted"
-        else:
-            report.results["outcome"] = "hit"
+        hit = _emit_suffix_hit(report, args.alpha, args.beta, args.eps,
+                               args.base, args.suffix, args.nmax)
+        report.results["outcome"] = "hit" if hit else "exhausted"
+        if hit:
             report.results["n"] = hit.n
             report.results["distance"] = _iv_json(hit.dist_enclosure)
-            report.certificates.append({
-                "type": "suffix_hit", "alpha": args.alpha, "beta": args.beta,
-                "eps": hit.eps_description, "base": args.base,
-                "suffix": args.suffix or "", "n": hit.n,
-            })
     elif args.action == "probe":
         alpha = _const_expr(args.alpha)
         beta = _const_expr(args.beta)
@@ -448,136 +406,185 @@ def _cmd_orbit(args, report: Report) -> None:
 def _cmd_demo(args, report: Report) -> None:
     report.inputs_digest = _digest(args.name)
     if args.name == "fib":
-        members = scan_quadratic_set(1, 10**6)
-        terms = [t for t in quadratic_terms(1, 64) if 1 <= t <= 10**6]
-        head = sorted(set(terms) ^ set(members))
+        members, head = _emit_quadratic_set(report, 1, 10**6)
         report.results["head_difference"] = head
         report.results["member_count"] = len(members)
-        report.certificates.append({"type": "quadratic_set", "a": 1,
-                                    "horizon": 10**6,
-                                    "members_first": members[:64],
-                                    "head_difference": head})
     elif args.name == "bfree":
         dfao = fixtures.eleven_free_acceptor()
-        gens = geometric_generators(4, 4, 16)
-        chk = contains_fs(dfao.eval, gens, 16)
+        chk = _emit_fs_containment(report, dfao.eval, geometric_generators(4, 4, 16),
+                                   16, {"automaton": format_automaton(dfao)})
         report.results["contained"] = chk.ok
-        report.certificates.append({
-            "type": "fs_containment", "generators": list(gens.values),
-            "depth": 16, "ok": chk.ok,
-            "automaton": format_automaton(dfao)})
     elif args.name == "pisot":
-        params = pisot_cubic_check(args.a, args.b)
-        qmax = 10**4
-        rep = best_approximations(params, qmax)
-        pred = pisot_gp_set(params)
-        members = [q for q in range(1, qmax + 1) if pred(q)]
-        diff = sorted(set(members) ^ set(rep.flagged_qs))
+        _, flagged, diff = _gpset_vs_best(pisot_cubic_check(args.a, args.b), 10**4)
         report.results["difference_vs_best"] = diff
-        report.results["flagged_count"] = len(rep.flagged_qs)
+        report.results["flagged_count"] = len(flagged)
     elif args.name == "heisenberg":
-        alpha = ExactReal.sqrt(2).exact()
-        beta = ExactReal.sqrt(3).exact()
-        eps = EpsilonSchedule.parse("1*n^-1/10")
-        hit = suffix_hit_scan(alpha, beta, eps, 2, DigitWord.parse("11", 2), 10**7)
+        hit = _emit_suffix_hit(report, "sqrt(2)", "sqrt(3)", "1*n^-1/10", 2, "11",
+                               10**7)
         report.results["outcome"] = "hit" if hit else "exhausted"
         if hit:
             report.results["n"] = hit.n
-            report.certificates.append({
-                "type": "suffix_hit", "alpha": "sqrt(2)", "beta": "sqrt(3)",
-                "eps": "1*n^-1/10", "base": 2, "suffix": "11", "n": hit.n})
     elif args.name == "dichotomy":
-        rows = []
-        for name, dfao in fixtures.fixture_suite():
-            cls = classify(dfao)
-            nu = count_accepted_below(dfao, 1 << 20)
-            rows.append({"fixture": name, "variant": cls.variant,
-                         "count_2_20": nu})
-        report.results["fixtures"] = rows
-    else:
-        raise SystemExit(f"unknown demo {args.name!r}")
+        report.results["fixtures"] = [
+            {"fixture": name, "variant": classify(dfao).variant,
+             "count_2_20": count_accepted_below(dfao, 1 << 20)}
+            for name, dfao in fixtures.fixture_suite()]
 
 
 def _cmd_verify(args, report: Report) -> None:
     with open(args.report) as fh:
         payload = json.load(fh)
     report.inputs_digest = _digest(json.dumps(payload, sort_keys=True))
-    outcomes = []
-    for cert in payload.get("certificates", []):
-        outcomes.append(_verify_certificate(cert))
+    outcomes = [_verify_certificate(cert) for cert in payload.get("certificates", [])]
     report.results["verified"] = all(o["ok"] for o in outcomes)
     report.results["outcomes"] = outcomes
 
 
+# ---------------------------------------------------------------------------
+# certificates: one emitter and one check per kind
+#
+# A kind that a subcommand and a demo both emit has one emitter here.  A
+# check re-derives every claimed field from the certificate's inputs: it
+# enters in ``checked`` what it checks before checking it, and raises
+# AssertionError(reason) when a claim fails.
+
+
+def _expect(cert: dict, **replayed) -> None:
+    """Name the first claimed field that differs from its replay."""
+    for name, value in replayed.items():
+        if cert[name] != value:
+            raise AssertionError(f"{name} differs from the replay")
+
+
+def _check_pumping(cert: dict, checked: dict) -> None:
+    dfao = parse_automaton(cert["automaton"])
+    triple = tuple(DigitWord.parse(cert[k], dfao.base) for k in ("u0", "v", "u1"))
+    checked["states_proof"] = check_pumping_witness(dfao, triple, cert["value"])
+    if not checked["states_proof"]:
+        raise AssertionError("the pump fails for some t")
+
+
+def _check_ips_witness(cert: dict, checked: dict) -> None:
+    dfao = parse_automaton(cert["automaton"])
+    # JSON reads the tuple fields back as lists
+    wit = IpsWitness(**{f.name: tuple(v) if isinstance(v := cert[f.name], list) else v
+                        for f in fields(IpsWitness)})
+    checked.update(states_proof=False, replay_horizon=wit.verified_horizon,
+                   depth=wit.verified_depth)
+    # the replay evaluates the input automaton itself, so a fault in to_lsd
+    # cannot prove its own witness
+    verify_ips(wit, dfao.eval, wit.verified_depth)
+    prove_ips(wit, to_lsd(dfao))
+    checked["states_proof"] = True
+
+
+def _emit_fs_containment(report: Report, pred, gens: IpGenerators, depth: int,
+                         source: dict):
+    """``source`` names the predicate: {"automaton": text} or {"pred": text}."""
+    chk = contains_fs(pred, gens, depth)
+    report.certificates.append({
+        "type": "fs_containment", "generators": list(gens.values),
+        "depth": chk.depth, "ok": chk.ok, **source})
+    return chk
+
+
+def _check_fs_containment(cert: dict, checked: dict) -> None:
+    if "automaton" in cert:
+        pred = parse_automaton(cert["automaton"]).eval
+    else:
+        expr = parse_gp(cert["pred"])
+        pred = lambda n: eval_gp(expr, n).integer_value
+    checked["depth"] = cert["depth"]
+    chk = contains_fs(pred, IpGenerators(tuple(cert["generators"])), cert["depth"])
+    _expect(cert, ok=chk.ok)
+
+
+def _quadratic_head(a: int, horizon: int, members: list[int]) -> list[int]:
+    terms = [t for t in quadratic_terms(a, 96) if 1 <= t <= horizon]
+    return sorted(set(terms) ^ set(members))
+
+
+def _emit_quadratic_set(report: Report, a: int, horizon: int):
+    members = scan_quadratic_set(a, horizon)
+    head = _quadratic_head(a, horizon, members)
+    report.certificates.append({
+        "type": "quadratic_set", "a": a, "horizon": horizon,
+        "members_first": members[:64], "head_difference": head})
+    return members, head
+
+
+def _check_quadratic_set(cert: dict, checked: dict) -> None:
+    a, horizon = cert["a"], cert["horizon"]
+    checked["replay_horizon"] = horizon
+    members = [n for n in range(1, horizon + 1) if quadratic_member(a, n)]
+    _expect(cert, members_first=members[:64],
+            head_difference=_quadratic_head(a, horizon, members))
+
+
+def _gpset_vs_best(params, qmax: int):
+    """The GP-set members up to qmax, the flagged best approximations, and
+    their symmetric difference."""
+    pred = pisot_gp_set(params)
+    members = [q for q in range(1, qmax + 1) if pred(q)]
+    flagged = best_approximations(params, qmax).flagged_qs
+    return members, flagged, sorted(set(members) ^ set(flagged))
+
+
+def _check_pisot_gpset(cert: dict, checked: dict) -> None:
+    checked["replay_horizon"] = cert["qmax"]
+    members, _, diff = _gpset_vs_best(pisot_cubic_check(cert["a"], cert["b"]),
+                                      cert["qmax"])
+    _expect(cert, members_first=members[:64], difference_vs_best=diff)
+
+
+def _suffix_scan(alpha: str, beta: str, eps: str, base: int, suffix: str,
+                 nmax: int):
+    return suffix_hit_scan(_const_expr(alpha), _const_expr(beta),
+                           EpsilonSchedule.parse(eps), base,
+                           DigitWord.parse(suffix, base), nmax)
+
+
+def _emit_suffix_hit(report: Report, alpha: str, beta: str, eps: str, base: int,
+                     suffix: str, nmax: int):
+    hit = _suffix_scan(alpha, beta, eps, base, suffix, nmax)
+    if hit is not None:
+        report.certificates.append({
+            "type": "suffix_hit", "alpha": alpha, "beta": beta,
+            "eps": hit.eps_description, "base": base, "suffix": suffix,
+            "n": hit.n})
+    return hit
+
+
+def _check_suffix_hit(cert: dict, checked: dict) -> None:
+    checked["replay_horizon"] = cert["n"]
+    hit = _suffix_scan(cert["alpha"], cert["beta"], cert["eps"], cert["base"],
+                       cert["suffix"], cert["n"])
+    _expect(cert, n=hit.n if hit else None)
+
+
+_CHECKS = {
+    "pumping": _check_pumping,
+    "ips_witness": _check_ips_witness,
+    "fs_containment": _check_fs_containment,
+    "quadratic_set": _check_quadratic_set,
+    "pisot_gpset": _check_pisot_gpset,
+    "suffix_hit": _check_suffix_hit,
+}
+
+
 def _verify_certificate(cert: dict) -> dict:
     kind = cert.get("type")
+    outcome = {"type": kind, "ok": False, "checked": {}}
     try:
-        if kind == "ips_witness":
-            dfao = parse_automaton(cert["automaton"])
-            wit = IpsWitness(
-                *(cert[x] for x in ("base", "l", "m", "p", "r1", "r2", "n0")),
-                tuple(cert["generators"]), tuple(cert["shifts"]),
-                cert["verified_depth"], cert["verified_horizon"])
-            # the replay evaluates the input automaton itself, so a fault in
-            # to_lsd cannot prove its own witness
-            checked = {"states_proof": False,
-                       "replay_horizon": wit.verified_horizon,
-                       "depth": wit.verified_depth}
-            try:
-                verify_ips(wit, dfao.eval, wit.verified_depth)
-                prove_ips(wit, to_lsd(dfao))
-            except AssertionError as exc:
-                return {"type": kind, "ok": False, "detail": str(exc),
-                        "checked": checked}
-            checked["states_proof"] = True
-            return {"type": kind, "ok": True, "checked": checked}
-        if kind == "pumping":
-            dfao = parse_automaton(cert["automaton"])
-            base = dfao.base
-            triple = tuple(DigitWord.parse(cert[k], base) if cert[k] else DigitWord(base, ())
-                           for k in ("u0", "v", "u1"))
-            ok = check_pumping_witness(dfao, triple, cert["value"], 64)
-            return {"type": kind, "ok": ok}
-        if kind == "fs_containment":
-            if "automaton" in cert:
-                pred = parse_automaton(cert["automaton"]).eval
-            else:
-                expr = parse_gp(cert["pred"])
-                pred = lambda n: eval_gp(expr, n).integer_value
-            gens = IpGenerators(tuple(cert["generators"]))
-            chk = contains_fs(pred, gens, cert["depth"])
-            return {"type": kind, "ok": chk.ok == cert["ok"]}
-        if kind == "quadratic_set":
-            a = cert["a"]
-            for n in cert["members_first"]:
-                if not quadratic_member(a, n):
-                    return {"type": kind, "ok": False, "detail": f"{n} is not a member"}
-            return {"type": kind, "ok": True}
-        if kind == "suffix_hit":
-            alpha = _const_expr(cert["alpha"])
-            beta = _const_expr(cert["beta"])
-            eps = EpsilonSchedule.parse(cert["eps"])
-            base = cert["base"]
-            n = cert["n"]
-            suffix = cert.get("suffix", "")
-            if suffix and DigitWord.parse(suffix, base).value != n % base**len(
-                    DigitWord.parse(suffix, base)):
-                return {"type": kind, "ok": False, "detail": "suffix mismatch"}
-            hit = suffix_hit_scan(alpha, beta, eps, base,
-                                  DigitWord.parse(suffix, base) if suffix
-                                  else DigitWord(base, ()), n)
-            ok = hit is not None and hit.n == n
-            return {"type": kind, "ok": ok}
-        if kind == "pisot_gpset":
-            params = pisot_cubic_check(cert["a"], cert["b"])
-            pred = pisot_gp_set(params)
-            for q in cert["members_first"]:
-                if pred(q) != 1:
-                    return {"type": kind, "ok": False, "detail": f"{q} not in gp-set"}
-            return {"type": kind, "ok": True}
-        return {"type": kind, "ok": False, "detail": "unknown certificate type"}
+        if kind not in _CHECKS:
+            raise AssertionError("unknown certificate type")
+        _CHECKS[kind](cert, outcome["checked"])
+        outcome["ok"] = True
+    except AssertionError as exc:
+        outcome["detail"] = str(exc)
     except (KeyError, TypeError, ValueError) as exc:  # a malformed certificate
-        return {"type": kind, "ok": False, "detail": repr(exc)}
+        outcome["detail"] = repr(exc)
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +603,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--range", type=int, nargs=2)
-    p.add_argument("--value", type=int)
+    p.add_argument("--value", type=int, default=1)
 
     p = sub.add_parser("sparsity")
     p.add_argument("action", choices=("classify", "growth", "ips", "normalize"))

@@ -1,13 +1,15 @@
 """Linear-recurrence constructions: quadratic (continued-fraction) sets and
 the cubic-Pisot best-approximation set.
 
-The quadratic side builds the predicate ||n*alpha|| < 1/(2n) whose 1-set
-agrees with the recurrence terms up to a finite head (Legendre direction is
-unconditional, the tail direction kicks in once n*||n*alpha|| settles below
-1/2).  The cubic side certifies the root pattern of x^3 - a x^2 - b x - 1,
-computes the skew norm attached to the complex pair, brute-forces best
-approximations of theta = (1/beta, 1/beta^2), and builds the closed-form
-predicate h(q)^2 < 1/g(q) that tracks them.
+The quadratic side builds the predicate ||n*alpha|| < 1/(2n).  For a <= 7
+its 1-set is the recurrence terms up to a finite head (Legendre direction
+is unconditional, the tail direction kicks in once n*||n*alpha|| settles
+below 1/2); for a >= 8 each 2*q_k is a member too (``nilseq fib --a 8
+--horizon 100000``: head [2, 16, 130, 1056, 8578, 69680]; ROADMAP item 3
+states the set for all n).  The cubic side certifies the root pattern of
+x^3 - a x^2 - b x - 1, computes the skew norm attached to the complex pair,
+brute-forces best approximations of theta = (1/beta, 1/beta^2), and builds
+the closed-form predicate h(q)^2 < 1/g(q) that tracks them.
 
 The cubic side computes in Q(beta) with exactreal's ``CubicElem`` (integer
 numerators over one denominator; 1/beta = beta^2 - a beta - b lies in

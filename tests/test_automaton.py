@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -30,7 +32,7 @@ from nilseq.automaton import (
     thue_morse,
     to_lsd,
 )
-from nilseq.digits import from_digits, to_digits
+from nilseq.digits import DigitWord, from_digits, to_digits
 
 
 # --- eval ------------------------------------------------------------
@@ -232,7 +234,6 @@ def test_reverse_reading_thue_morse(tm):
 
 def test_reverse_reading_powers(powers2):
     lsd = reverse_reading(powers2)
-    import random
     rng = random.Random(7)
     for n in range(1 << 12):
         assert lsd.eval(n) == powers2.eval(n)
@@ -425,13 +426,13 @@ def test_pumping_powers(powers2):
 
 def test_pumping_constant_one(const1):
     triple = pumping_witness(const1, 1)
-    assert check_pumping_witness(const1, triple, 1, 64)
+    assert check_pumping_witness(const1, triple, 1)
 
 
 def test_pumping_thue_morse(tm):
     for value in (0, 1):
         triple = pumping_witness(tm, value)
-        assert check_pumping_witness(tm, triple, value, 64)
+        assert check_pumping_witness(tm, triple, value)
 
 
 def test_pumping_position_constraint(tm):
@@ -443,6 +444,41 @@ def test_pumping_unattained_value(const0):
     from nilseq.automaton import BudgetExceeded
     with pytest.raises(BudgetExceeded):
         pumping_witness(const0, 1)
+
+
+def replay_pump(dfao, triple, value):
+    """eval([u0 v^t u1]_k) = value for t <= 64, by evaluation."""
+    u0, v, u1 = triple
+    return len(v) > 0 and all(
+        dfao.eval(from_digits(u0.digits + v.digits * t + u1.digits, dfao.base))
+        == value for t in range(65))
+
+
+def test_pump_walk_matches_the_evaluation_replay():
+    # the walk's first failing t lies below the canonical state count, which
+    # stays far below 64 here, so the two must agree
+    rng = random.Random(2)
+    outcomes = []
+    for _ in range(250):
+        base, n = rng.choice((2, 3)), rng.randint(1, 7)
+        dfao = Dfao(base, tuple(tuple(rng.randrange(n) for _ in range(base))
+                                for _ in range(n)),
+                    tuple(rng.randrange(2) for _ in range(n)), 0,
+                    rng.choice(list(ReadingOrder)))
+        for value in (0, 1):
+            try:
+                u0, v, u1 = pumping_witness(dfao, value)
+            except BudgetExceeded:
+                continue
+            # the witness, and one digit more on v or on u1
+            triples = [(u0, v, u1)] + [
+                (u0, DigitWord(base, v.digits + (d,)), u1) for d in range(base)] + [
+                (u0, v, DigitWord(base, u1.digits + (d,))) for d in range(base)]
+            for triple in triples:
+                walk = check_pumping_witness(dfao, triple, value)
+                assert walk == replay_pump(dfao, triple, value), (dfao, triple)
+                outcomes.append(walk)
+    assert True in outcomes and False in outcomes and len(outcomes) > 2000
 
 
 # --- zero invariance -------------------------------------------------
@@ -481,7 +517,7 @@ def test_pumping_reads_canonical_words():
     # every word 0w reads 1, though eval reads it as w
     d = NOT_ZERO_INVARIANT
     for e in (d, reverse_reading(d)):
-        assert check_pumping_witness(d, pumping_witness(e, 1), 1, 16)
+        assert check_pumping_witness(d, pumping_witness(e, 1), 1)
 
 
 def test_kernel_of_an_automaton_not_zero_invariant():

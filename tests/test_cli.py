@@ -143,6 +143,61 @@ def test_verification_keeps_library_exit_codes(files, tmp_path, monkeypatch):
     assert rep2["results"]["error"].startswith("precision exhausted")
 
 
+ROUND_TRIPS = {
+    # kind: (argv with {files}, what verify checked, a tampered field, and
+    # the reason verify then gives)
+    "pumping": (["automaton", "pump", "--file", "{files}/powers2.aut",
+                 "--value", "1"], {"states_proof": True}, ("value", 0),
+                "the pump fails for some t"),
+    "ips_witness": (["sparsity", "ips", "--file", "{files}/free11.aut",
+                     "--horizon", "200"],
+                    {"states_proof": True, "replay_horizon": 200, "depth": 10},
+                    ("n0", 3), "n0 does not witness membership"),
+    "fs_containment/automaton": (["demo", "bfree"], {"depth": 16},
+                                 ("ok", False), "ok differs from the replay"),
+    "fs_containment/pred": (["ip", "check", "--gens", "1,2,4", "--depth", "3",
+                             "--pred-expr", "(const 1)"], {"depth": 3},
+                            ("ok", False), "ok differs from the replay"),
+    "quadratic_set": (["fib", "--a", "8", "--horizon", "10000"],
+                      {"replay_horizon": 10000}, ("head_difference", []),
+                      "head_difference differs from the replay"),
+    "pisot_gpset": (["pisot", "gpset", "--a", "1", "--b", "0", "--qmax", "2000"],
+                    {"replay_horizon": 2000}, ("difference_vs_best", [7, 11]),
+                    "difference_vs_best differs from the replay"),
+    "suffix_hit": (["orbit", "scan", "--suffix", "11", "--nmax", "10000"],
+                   {"replay_horizon": 43}, ("n", 44),
+                   "n differs from the replay"),
+}
+
+
+@pytest.mark.parametrize("case", ROUND_TRIPS)
+def test_certificate_round_trip(files, tmp_path, case):
+    argv, checked, (name, bad), reason = ROUND_TRIPS[case]
+    code, rep = invoke([a.format(files=files) for a in argv])
+    assert code == 0 and len(rep["certificates"]) == 1
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(rep))
+    _, rep2 = invoke(["verify", "--report", str(path)])
+    assert rep2["results"]["outcomes"] == [
+        {"type": case.split("/")[0], "ok": True, "checked": checked}]
+    assert rep["certificates"][0][name] != bad
+    rep["certificates"][0][name] = bad
+    path.write_text(json.dumps(rep))
+    _, rep3 = invoke(["verify", "--report", str(path)])
+    outcome = rep3["results"]["outcomes"][0]
+    assert rep3["results"]["verified"] is False and outcome["ok"] is False
+    assert outcome["detail"] == reason
+
+
+def test_unknown_certificate_type_fails_verification(tmp_path):
+    path = tmp_path / "unknown.json"
+    path.write_text(json.dumps({"certificates": [{"type": "oracle"}]}))
+    _, rep = invoke(["verify", "--report", str(path)])
+    assert rep["results"]["outcomes"] == [
+        {"type": "oracle", "ok": False, "checked": {},
+         "detail": "unknown certificate type"}]
+
+
 def cut_to_digits(dfao, digits):
     """The base-2 MSD automaton dfao restricted to n < 2^digits."""
     upto_k = Dfao(2, ((0, 1),) + tuple((i + 1, i + 1) for i in range(1, digits + 1))

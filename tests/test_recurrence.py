@@ -54,7 +54,8 @@ def test_member_examples():
 
 @pytest.mark.parametrize("a", [1, 2, 3])
 def test_legendre_inclusion(a):
-    # every solution of ||n alpha|| < 1/(2n) below 10^6 is a recurrence term
+    # for a <= 7 every solution of ||n alpha|| < 1/(2n) below 10^6 is a
+    # recurrence term; for a >= 8 each 2 q_k is one too (ROADMAP item 3)
     members = scan_quadratic_set(a, 10**6)
     terms = set(quadratic_terms(a, 64))
     assert all(m in terms for m in members)
