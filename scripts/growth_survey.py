@@ -1,5 +1,7 @@
 #!/usr/bin/env python3
-"""Growth census over the fixture suite: exact counts, regimes, window stats.
+"""Growth census over the fixture suite: the side of the dichotomy, the
+growth regime read off it (poly-log degree or power-law exponent), and the
+exact counts nu(2^j).
 
 Emits plot-ready CSV on stdout.
 """
@@ -15,12 +17,10 @@ def main() -> int:
     print("fixture,variant,regime,estimate," +
           ",".join(f"nu_2e{j}" for j in range(4, 25, 2)))
     for name, dfao in fixture_suite():
-        cls = classify(dfao)
         rep = growth_census(dfao, grid)
-        regime = rep.regime[0]
-        est = f"{rep.regime[1]:.4f}" if len(rep.regime) > 1 else ""
+        regime, estimate = rep.regime
         counts = ",".join(str(c) for _, c in rep.samples)
-        print(f"{name},{cls.variant},{regime},{est},{counts}")
+        print(f"{name},{classify(dfao).variant},{regime},{estimate:.4g},{counts}")
     return 0
 
 

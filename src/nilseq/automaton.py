@@ -174,11 +174,14 @@ def is_zero_invariant(dfao: Dfao) -> bool:
 
     MSD: the initial state and its 0-successor must be full-word equivalent
     (at once when they are the same state).  LSD: every reachable state must
-    keep its output on reading 0.
+    keep its output on reading 0; the reachable states are walked only when
+    some state does not.
     """
     if dfao.order is ReadingOrder.LSD:
-        return all(dfao.outputs[dfao.step(s, 0)] == dfao.outputs[s]
-                   for s in dfao.reachable_states())
+        def keeps(s: int) -> bool:
+            return dfao.outputs[dfao.step(s, 0)] == dfao.outputs[s]
+        return (all(map(keeps, range(dfao.n_states)))
+                or all(map(keeps, dfao.reachable_states())))
     zero = dfao.step(dfao.initial, 0)
     return zero == dfao.initial or equivalent(dfao, replace(dfao, initial=zero))
 

@@ -114,18 +114,17 @@ def _iv_json(iv: IntervalValue) -> dict:
 
 @dataclass
 class RunConfig:
-    """Echo of the run parameters; a fixed config (seed included) yields
-    byte-identical report payloads (all operations are pure and
-    deterministic)."""
+    """Echo of the run parameters; a fixed config yields byte-identical
+    report payloads (every operation is pure and deterministic, none is
+    seeded)."""
 
     subcommand: str
     output_format: str
     max_bits: int
-    seed: int
 
     def to_jsonable(self) -> dict:
         return {"subcommand": self.subcommand, "format": self.output_format,
-                "max_bits": self.max_bits, "seed": self.seed}
+                "max_bits": self.max_bits}
 
 
 @dataclass
@@ -134,7 +133,6 @@ class Report:
     inputs_digest: str
     results: dict = field(default_factory=dict)
     certificates: list = field(default_factory=list)
-    seed: Optional[int] = None
     config: Optional[RunConfig] = None
     version: str = __version__
     timing_seconds: float = 0.0
@@ -147,7 +145,6 @@ class Report:
             "inputs_digest": self.inputs_digest,
             "results": self.results,
             "certificates": self.certificates,
-            "seed": self.seed,
             "timing_seconds": round(self.timing_seconds, 3),
         }
         json.dump(payload, stream or sys.stdout, indent=2, sort_keys=True)
@@ -227,12 +224,9 @@ def _cmd_sparsity(args, report: Report) -> None:
             report.results["v2"] = list(cls.witness.v2)
     elif args.action == "growth":
         grid = [2**j for j in range(4, args.log2_max + 1, 2)]
-        rep = growth_census(dfao, grid, seed=args.seed)
-        report.seed = rep.seed
+        rep = growth_census(dfao, grid)
         report.results["samples"] = rep.samples
         report.results["regime"] = list(rep.regime)
-        report.results["fit"] = rep.fit
-        report.results["window_stats"] = rep.window_stats
     elif args.action == "ips":
         wit = ips_witness(dfao, horizon=args.horizon, depth=args.depth)
         cert = {"type": "ips_witness", "automaton": format_automaton(dfao),
@@ -329,12 +323,13 @@ def _cmd_pisot(args, report: Report) -> None:
 
 
 def _parse_pred(args):
+    """The predicate and the certificate field that names it."""
     if args.pred_file:
         dfao, text = _load_automaton(args.pred_file)
-        return dfao.eval, text
+        return dfao.eval, {"automaton": text}
     if args.pred_expr:
         expr = parse_gp(args.pred_expr)
-        return (lambda n: eval_gp(expr, n).integer_value), args.pred_expr
+        return (lambda n: eval_gp(expr, n).integer_value), {"pred": args.pred_expr}
     raise SystemExit("ip check requires --pred-file or --pred-expr")
 
 
@@ -359,10 +354,10 @@ def _cmd_ip(args, report: Report) -> None:
         report.results["count"] = len(rows)
         report.results["first"] = [v for _, _, v in rows[:64]]
     elif args.action == "check":
-        pred, pred_text = _parse_pred(args)
+        pred, source = _parse_pred(args)
         chk = _emit_fs_containment(report, pred, gens, min(args.depth, len(values)),
-                                   {"pred": pred_text})
-        report.inputs_digest = _digest(gens_text, pred_text)
+                                   source)
+        report.inputs_digest = _digest(gens_text, *source.values())
         report.results["contained"] = chk.ok
         if not chk.ok:
             report.results["first_failure"] = {
@@ -594,7 +589,6 @@ def _verify_certificate(cert: dict) -> dict:
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="nilseq")
     top.add_argument("--format", choices=("json", "csv"), default="json")
-    top.add_argument("--seed", type=int, default=20160517)
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("automaton")
@@ -692,8 +686,7 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     config = RunConfig(args.command, args.format,
-                       getattr(args, "max_bits", None) or default_max_bits(),
-                       args.seed)
+                       getattr(args, "max_bits", None) or default_max_bits())
     report = Report(command=list(argv), inputs_digest="", config=config)
     start = time.time()
     code, results = 0, report.results

@@ -11,8 +11,8 @@ enumerable membership.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from .automaton import (
@@ -33,6 +33,7 @@ from .automaton import (
     word_to,
 )
 from .digits import from_digits, from_digits_lsd, to_digits, to_digits_lsd
+from .exactreal import NeedsMoreBits, decide
 from .ipsets import IpGenerators, IpsFamily, finite_sums, shifted_finite_sums
 
 
@@ -653,73 +654,65 @@ def verify_ips(w: IpsWitness, a: Callable[[int], int], depth: int):
 
 @dataclass
 class GrowthReport:
+    """Exact counts nu(N) = |{n < N : eval(n) = 1}| on a grid, and the
+    growth of nu read off ``classify``: ("poly_log", r) for a very sparse
+    set, r the rank of its decomposition, so nu(N) = Theta((log N)^r); else
+    ("power_law", log_k rho), rho the largest spectral radius of a promising
+    component, so nu(N) = N^(log_k rho + o(1))."""
+
     samples: list[tuple[int, int]]
     regime: tuple
-    window_stats: list[tuple[int, int]]
-    fit: dict
-    seed: int
 
 
-def _linreg(xs: Sequence[float], ys: Sequence[float]):
-    n = len(xs)
-    if n < 2:
-        return 0.0, 0.0, 0.0
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    if sxx == 0:
-        return 0.0, my, 0.0
-    slope = sxy / sxx
-    intercept = my - slope * mx
-    ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
-    ss_tot = sum((y - my) ** 2 for y in ys)
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return slope, intercept, r2
+def _spectral_radius(out: Sequence[Sequence[int]]) -> float:
+    """The spectral radius of the adjacency matrix A of a strongly connected
+    graph, ``out[i]`` listing the heads of the edges from i.
+
+    B = A + I is primitive, so for every positive x the Collatz-Wielandt
+    bounds min_i (Bx)_i / x_i <= rho(B) <= max_i (Bx)_i / x_i hold, and power
+    iteration x <- Bx closes them, slowest on a long cycle, whose
+    eigenvalues all lie near the circle of radius rho.  Each rung of the
+    ladder keeps x in integers rescaled to ``bits`` bits and reads the
+    bounds after each run of ``bits`` steps, one run per vertex at most,
+    until they agree to 2^-60 relative; ``PrecisionExhausted`` at the
+    ceiling."""
+    def apply(x: list[int]) -> list[int]:
+        return [xi + sum(x[j] for j in row) for xi, row in zip(x, out)]
+
+    def attempt(bits: int) -> float:
+        x = [1] * len(out)
+        for _ in out:
+            for _ in range(bits):
+                y = apply(x)
+                shift = max(max(y).bit_length() - bits, 0)
+                x = [max(v >> shift, 1) for v in y]
+            ratios = [Fraction(b, xi) for b, xi in zip(apply(x), x)]
+            lo, hi = min(ratios), max(ratios)
+            if (hi - lo) * 2**60 <= lo:
+                return float((lo + hi) / 2 - 1)
+        raise NeedsMoreBits("spectral radius unresolved")
+
+    return decide(attempt)
 
 
-def growth_census(dfao: Dfao, n_grid: Sequence[int],
-                  seed: int = 20160517) -> GrowthReport:
-    """Exact counts nu(N) on the grid with a regime classification, and
-    the largest count among six seeded windows [M, M + N), M < 2^31.
-
-    Power-law when the (log N, log nu) slope is >= 0.2 with R^2 >= 0.99;
-    otherwise poly-log when nu(N) <= (log2 N)^8 throughout; else
-    inconclusive.
-    """
-    if not dfao.is_binary():
-        raise ValueError("growth census requires {0,1} outputs")
-    dfao = to_msd(dfao)
-    samples = [(n, count_accepted_below(dfao, n)) for n in n_grid]
-    rng = random.Random(seed)
-    window_stats = []
-    for n, _ in samples:
-        best = 0
-        for _ in range(6):
-            m0 = rng.randrange(1 << 31)
-            cnt = count_accepted_below(dfao, m0 + n) - count_accepted_below(dfao, m0)
-            best = max(best, cnt)
-        window_stats.append((n, best))
-    pos = [(n, c) for n, c in samples if c > 0 and n > 1]
-    fit = {}
-    regime: tuple = ("inconclusive",)
-    if len(pos) >= 2:
-        lx = [math.log(n) for n, _ in pos]
-        ly = [math.log(c) for _, c in pos]
-        slope, _, r2 = _linreg(lx, ly)
-        fit["loglog_slope"] = slope
-        fit["loglog_r2"] = r2
-        llx = [math.log(math.log(n)) for n, _ in pos]
-        pslope, _, pr2 = _linreg(llx, ly)
-        fit["polylog_degree"] = pslope
-        fit["polylog_r2"] = pr2
-        if slope >= 0.2 and r2 >= 0.99:
-            regime = ("power_law", slope)
-        elif all(c <= math.log2(n) ** 8 for n, c in pos):
-            regime = ("poly_log", pslope)
-    elif all(c == 0 for _, c in samples):
-        regime = ("poly_log", 0.0)
-    return GrowthReport(samples, regime, window_stats, fit, seed)
+def growth_census(dfao: Dfao, n_grid: Sequence[int]) -> GrowthReport:
+    """The exact counts nu(N) for N in the grid, and the regime of nu
+    decided by ``classify``; see ``GrowthReport``."""
+    cls = classify(dfao)
+    msd = to_msd(dfao)
+    samples = [(n, count_accepted_below(msd, n)) for n in n_grid]
+    if cls.is_very_sparse:
+        return GrowthReport(samples, ("poly_log", cls.decomposition.rank))
+    graph = promising_graph(cls.lsd)
+    rho, seen = 0.0, set()
+    for s in sorted(graph.vertices):
+        if s not in seen:
+            comp = list(reach([s], graph.intra.__getitem__))
+            seen.update(comp)
+            index = {v: i for i, v in enumerate(comp)}
+            rho = max(rho, _spectral_radius(
+                [[index[t] for _, t in graph.intra[v]] for v in comp]))
+    return GrowthReport(samples, ("power_law", math.log(rho, cls.lsd.base)))
 
 
 # ---------------------------------------------------------------------------

@@ -505,6 +505,14 @@ def test_zero_invariance_counterexample():
     assert to_lsd(d).eval_word((1, 1, 0)) == d.eval(3) == 0
 
 
+def test_zero_invariance_ignores_unreachable_lsd_states():
+    # state 1 changes its output on 0 but is unreachable from state 0
+    d = Dfao(2, ((0, 0), (0, 1)), (1, 0), 0, ReadingOrder.LSD)
+    assert is_zero_invariant(d) and canonical(d) is d
+    assert not is_zero_invariant(Dfao(2, d.transitions, d.outputs, 1,
+                                      ReadingOrder.LSD))
+
+
 def test_base_power_reads_canonical_words():
     # padding the top block of n = 1, 7, 31 with a zero reads a 0 first
     d = NOT_ZERO_INVARIANT

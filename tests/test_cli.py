@@ -16,7 +16,6 @@ from nilseq import cli
 from nilseq.cli import run
 from nilseq.exactreal import PrecisionExhausted
 from nilseq.fixtures import eleven_free_acceptor
-from nilseq.sparsity import growth_census
 
 
 def invoke(argv):
@@ -158,6 +157,10 @@ ROUND_TRIPS = {
     "fs_containment/pred": (["ip", "check", "--gens", "1,2,4", "--depth", "3",
                              "--pred-expr", "(const 1)"], {"depth": 3},
                             ("ok", False), "ok differs from the replay"),
+    "fs_containment/pred-file": (["ip", "check", "--gens", "4,16,64", "--depth",
+                                  "3", "--pred-file", "{files}/free11.aut"],
+                                 {"depth": 3}, ("ok", False),
+                                 "ok differs from the replay"),
     "quadratic_set": (["fib", "--a", "8", "--horizon", "10000"],
                       {"replay_horizon": 10000}, ("head_difference", []),
                       "head_difference differs from the replay"),
@@ -297,18 +300,9 @@ def test_determinism(files):
     rep1.pop("timing_seconds")
     rep2.pop("timing_seconds")
     assert rep1 == rep2
-
-
-def test_seed_reaches_the_growth_census(files):
-    argv = ["sparsity", "growth", "--file", str(files / "free11.aut"),
-            "--log2-max", "8"]
-    _, default = invoke(argv)
-    _, seeded = invoke(["--seed", "7"] + argv)
-    assert default["seed"] == default["config"]["seed"] == 20160517
-    assert seeded["seed"] == seeded["config"]["seed"] == 7
-    grid = [2**j for j in range(4, 9, 2)]
-    want = growth_census(eleven_free_acceptor(), grid, seed=7).window_stats
-    assert seeded["results"]["window_stats"] == [list(w) for w in want]
+    assert rep1["results"]["regime"] == ["poly_log", 1]
+    assert "seed" not in rep1 and "seed" not in rep1["config"]
+    assert invoke(["--seed", "7"] + argv)[0] == 1
 
 
 def test_fib_subcommand():

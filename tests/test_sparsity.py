@@ -3,6 +3,7 @@ import random
 from dataclasses import replace
 
 import pytest
+import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from nilseq.automaton import (
@@ -26,6 +27,7 @@ from nilseq.automaton import (
     to_msd,
     word_to,
 )
+from nilseq.exactreal import PrecisionExhausted
 from nilseq.fixtures import (
     contains_101_acceptor,
     eleven_free_acceptor,
@@ -340,7 +342,7 @@ def test_window_counts():
 def test_growth_powers_polylog(powers2):
     grid = [2**j for j in range(4, 21, 4)]
     rep = growth_census(powers2, grid)
-    assert rep.regime[0] == "poly_log"
+    assert rep.regime == ("poly_log", 1)
     assert [c for _, c in rep.samples] == [4, 8, 12, 16, 20]
 
 
@@ -353,13 +355,64 @@ def test_growth_constant_one_powerlaw(const1):
 def test_growth_eleven_free_exponent(eleven_free):
     rep = growth_census(eleven_free, [2**j for j in range(6, 21, 2)])
     assert rep.regime[0] == "power_law"
-    assert abs(rep.regime[1] - math.log2((1 + 5**0.5) / 2)) < 0.02
+    assert abs(rep.regime[1] - math.log2((1 + 5**0.5) / 2)) < 1e-9
 
 
-def test_growth_window_stats_bounded(powers2):
-    rep = growth_census(powers2, [1 << 16])
-    for n, c in rep.window_stats:
-        assert c <= 17
+def digits_at_multiples(m: int) -> Dfao:
+    """The n whose binary digits are 0 off the positions = 0 (mod m), read
+    LSD first by an m-cycle that branches at 0: 2^(L/m) members below 2^L."""
+    rows = ((1, 1),) + tuple(((i + 1) % m, m) for i in range(1, m))
+    return Dfao(2, rows + ((m, m),), (1,) * m + (0,), 0, ReadingOrder.LSD)
+
+
+def test_growth_mod8_positions(wall_clock_limit):
+    dfao = digits_at_multiples(8)
+    assert classify(dfao).variant == "condition_i"
+    with wall_clock_limit(1.0):
+        rep = growth_census(dfao, [2**j for j in range(4, 65, 4)])
+    assert rep.regime[0] == "power_law" and abs(rep.regime[1] - 1 / 8) < 1e-9
+    assert [c for _, c in rep.samples] == [2**((j - 1) // 8 + 1)
+                                           for j in range(4, 65, 4)]
+
+
+def test_growth_enclosure_stops_at_the_ceiling(monkeypatch):
+    # power iteration on a 32-cycle closes the bounds by cos(pi/32) a step,
+    # so 2^-60 takes about 8,600 steps; one 64-bit rung runs 32 x 64
+    monkeypatch.setenv("NILSEQ_MAX_BITS", "64")
+    with pytest.raises(PrecisionExhausted):
+        growth_census(digits_at_multiples(32), [])
+    monkeypatch.setenv("NILSEQ_MAX_BITS", "256")
+    assert abs(growth_census(digits_at_multiples(8), []).regime[1] - 1 / 8) < 1e-9
+
+
+def _spectral_radius_oracle(dfao: Dfao) -> float:
+    """The largest real root of the characteristic polynomial of the trim
+    canonical MSD automaton's adjacency matrix, by sympy."""
+    msd = to_msd(dfao)
+    trim = sorted(promising_states(msd) & set(msd.reachable_states()))
+    index = {s: i for i, s in enumerate(trim)}
+    a = sympy.zeros(len(trim), len(trim))
+    for s in trim:
+        for _, t in msd.successors(s):
+            if t in index:
+                a[index[s], index[t]] += 1
+    return float(max(sympy.Poly(a.charpoly().as_expr()).real_roots()))
+
+
+@given(binary_automaton())
+@settings(max_examples=200, deadline=None)
+def test_growth_regime_matches_independent_oracles(dfao):
+    # very sparse: nu(k^L) is a polynomial of degree r in L for L a
+    # multiple of every cycle length, so nu(k^1440) / nu(k^720) ~ 2^r;
+    # branching: nu(k^L) grows like rho^L, rho read off the trim automaton
+    k = dfao.base
+    regime = growth_census(dfao, []).regime
+    if classify(dfao).is_very_sparse:
+        lo, hi = (count_accepted_below(dfao, k**L) for L in (720, 1440))
+        assert regime == ("poly_log", round(math.log2(hi / lo)) if lo else 0)
+    else:
+        assert regime[0] == "power_law"
+        assert abs(regime[1] - math.log(_spectral_radius_oracle(dfao), k)) < 1e-9
 
 
 # --- ips witnesses -----------------------------------------------------------
@@ -614,7 +667,7 @@ def test_normalize_rank2():
 
 
 def test_normalize_mixed_pump_lengths():
-    # pumps "0" and "00": lcm alignment and exponent-residue splitting
+    # pumps "0" and "00": one base_power to K = 2^lcm(1, 2) = 4
     decomp = make_decomposition(2, [[(1,), (0,), (1,)],
                                     [(1, 1), (0, 0), (1, 1)]])
     nf = normalize_arith_progression(decomp)
