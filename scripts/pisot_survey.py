@@ -7,10 +7,10 @@ import sys
 from nilseq.exactreal import exact_enclosure
 from nilseq.recurrence import (
     InvalidPisot,
+    PisotGpPredicate,
     best_approximations,
     cubic_terms,
     pisot_cubic_check,
-    pisot_gp_set,
 )
 
 QMAX = 2000
@@ -29,7 +29,7 @@ def main() -> int:
             rep = best_approximations(params, QMAX)
             flags = set(rep.flagged_qs)
             terms = {t for t in cubic_terms(a, b, 48) if 1 <= t <= QMAX}
-            pred = pisot_gp_set(params)
+            pred = PisotGpPredicate(params)
             members = {q for q in range(1, QMAX + 1) if pred(q)}
             print(f"{a},{b},yes,{beta:.6f},{len(flags)},"
                   f"{len(flags ^ terms)},{len(flags ^ members)}")

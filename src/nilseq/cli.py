@@ -68,11 +68,11 @@ from .orbits import (
 )
 from .recurrence import (
     InvalidPisot,
+    PisotGpPredicate,
     best_approximations,
     cubic_terms,
     nearest_power_set_equiv,
     pisot_cubic_check,
-    pisot_gp_set,
     quadratic_member,
     quadratic_terms,
     scan_quadratic_set,
@@ -245,7 +245,17 @@ def _cmd_sparsity(args, report: Report) -> None:
             {"v": list(v), "w": list(w)} for v, w in nf.branches]
 
 
+# the point flag each gp action reads; the other one is refused
+_GP_POINTS = {"eval": "n", "scan": "range", "compare": "range", "equidist": None}
+
+
 def _cmd_gp(args, report: Report) -> None:
+    reads = _GP_POINTS[args.action]
+    for flag in ("n", "range"):
+        if flag == reads and getattr(args, flag) is None:
+            raise ValueError(f"gp {args.action} needs --{flag}")
+        if flag != reads and getattr(args, flag) is not None:
+            raise ValueError(f"gp {args.action} does not read --{flag}")
     with open(args.expr_file) as fh:
         text = fh.read()
     expr = parse_gp(text)
@@ -519,7 +529,7 @@ def _check_quadratic_set(cert: dict, checked: dict) -> None:
 def _gpset_vs_best(params, qmax: int):
     """The GP-set members up to qmax, the flagged best approximations, and
     their symmetric difference."""
-    pred = pisot_gp_set(params)
+    pred = PisotGpPredicate(params)
     members = [q for q in range(1, qmax + 1) if pred(q)]
     flagged = best_approximations(params, qmax).flagged_qs
     return members, flagged, sorted(set(members) ^ set(flagged))
@@ -610,8 +620,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("eval", "scan", "equidist", "compare"))
     p.add_argument("--expr-file", required=True)
     p.add_argument("--expr2-file")
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--range", type=int, nargs=2, default=(0, 16))
+    p.add_argument("--n", type=int)
+    p.add_argument("--range", type=int, nargs=2)
     p.add_argument("--max-bits", type=int)
     p.add_argument("--a", type=int, default=1)
     p.add_argument("--scale", default="1")

@@ -5,7 +5,7 @@ The quadratic side builds the predicate ||n*alpha|| < 1/(2n).  For a <= 7
 its 1-set is the recurrence terms up to a finite head (Legendre direction
 is unconditional, the tail direction kicks in once n*||n*alpha|| settles
 below 1/2); for a >= 8 each 2*q_k is a member too (``nilseq fib --a 8
---horizon 100000``: head [2, 16, 130, 1056, 8578, 69680]; ROADMAP item 3
+--horizon 100000``: head [2, 16, 130, 1056, 8578, 69680]; ROADMAP item 2
 states the set for all n).  The cubic side certifies the root pattern of
 x^3 - a x^2 - b x - 1, computes the skew norm attached to the complex pair,
 brute-forces best approximations of theta = (1/beta, 1/beta^2), and builds
@@ -14,9 +14,10 @@ the closed-form predicate h(q)^2 < 1/g(q) that tracks them.
 The cubic side computes in Q(beta) with exactreal's ``CubicElem`` (integer
 numerators over one denominator; 1/beta = beta^2 - a beta - b lies in
 Z[beta]), so every comparison is decided exactly: by a sign test of integer
-bounds built from the field's bounds of beta and beta^2, or, in the
-best-approximation search, first by integer midpoint-radius balls, with
-that sign test only where two balls overlap.
+bounds built from the field's bounds of beta and beta^2.  The two hot
+loops, the best-approximation search and the closed-form predicate, decide
+first on integer midpoint-radius balls read once per field, and build
+exact elements for that sign test only where a ball cannot decide.
 """
 
 from __future__ import annotations
@@ -339,11 +340,6 @@ def _norm_at(params: PisotCubicParams, q: int, p: tuple[int, int]) -> CubicElem:
                      CubicElem(params.field, *_offset(params, q, p)))
 
 
-def rauzy_norm_sq(params: PisotCubicParams, x1: Fraction, x2: Fraction) -> CubicElem:
-    """N(x)^2 for rational x, exactly in the cubic field."""
-    return params.norm_sq(Fraction(x1), Fraction(x2))
-
-
 # ---------------------------------------------------------------------------
 # best approximations
 
@@ -432,10 +428,18 @@ class PisotGpPredicate:
     coordinate.  Along best approximations the product h^2 * g is exactly
     constant in the field (the records decay geometrically while g grows by
     the matching power), so the normalizing constant is calibrated from the
-    records themselves and the threshold is set one factor of 2 above it;
-    membership is then an exact sign test in the cubic field.  An optional
-    interval-only replay at a chosen precision guards against
-    precision-tuned answers.
+    records themselves and the threshold is set one factor of 2 above it.
+
+    Membership is decided first on integer midpoint-radius balls, read once
+    at the field's first rung (``exact_ball``): each nearest integer from
+    the ball of its argument, the ball of g, and the ball of h^2 g compared
+    with the threshold's, h^2 = N(q theta - p)^2 taken from the box search's
+    balls (``params._balls``, ``params._theta_ball``).  Only when a ball
+    straddles a half-integer, g's ball straddles 0, or h^2 g's ball overlaps
+    the threshold's is the exact element built and its sign tested in the
+    cubic field; the exact ties h^2 g = threshold always end there.  Every
+    answer is the exact one.  An optional interval-only replay at a chosen
+    precision guards against precision-tuned answers.
     """
 
     def __init__(self, params: PisotCubicParams):
@@ -448,6 +452,16 @@ class PisotGpPredicate:
                                  Fraction(params.b))
         self._record_const = self._calibrate()
         self.threshold = exact_mul(self._record_const, Fraction(2))
+        # (mid, rad) of 1/beta, 1/beta^2, c1, c2, beta_re, E = beta_re/beta
+        # + 1/beta^2 and the threshold, at the scale of params._balls (the
+        # same exact_ball at the same rung): __call__'s filter
+        e = exact_add(exact_mul(self.beta_re, params.beta_inv), params.beta_inv2)
+        bits = params.field.policy.ladder()[0]
+        balls = [exact_ball(x, bits) for x in (
+            params.beta_inv, params.beta_inv2, self.c1, self.c2, self.beta_re,
+            e, self.threshold)]
+        self._scale = balls[0][2]
+        self._balls = tuple(v for ball in balls for v in ball[:2])
 
     def _calibrate(self) -> CubicElem:
         flags: list[int] = []
@@ -481,11 +495,10 @@ class PisotGpPredicate:
         return acc  # this is g(q) * m1^2
 
     def _h_sq(self, terms) -> CubicElem:
-        _, x1, y, p1 = terms
-        p = self.params
-        x1 = exact_add(x1, Fraction(-p1))
-        p2 = exact_nearest(exact_add(exact_mul(self.beta_re, x1), y))
-        return p.norm_sq(x1, exact_add(y, Fraction(-p2)))
+        q, x1, y, p1 = terms
+        p2 = exact_nearest(exact_add(
+            exact_mul(self.beta_re, exact_add(x1, Fraction(-p1))), y))
+        return _norm_at(self.params, q, (p1, p2))
 
     def g_value(self, q: int) -> CubicElem:
         return self._g(self._terms(q))
@@ -497,6 +510,37 @@ class PisotGpPredicate:
         """1 iff h(q)^2 < 1/g(q) for the calibrated normalization."""
         if q < 1:
             return 0
+        (inv, r_inv, inv2, r_inv2, c1, r_c1, c2, r_c2, b_re, r_b_re, e, r_e,
+         thr, r_thr) = self._balls
+        s = self._scale
+        p1 = _ball_nearest(q * inv, q * r_inv, s)
+        p2g = _ball_nearest(q * inv2, q * r_inv2, s)
+        if p1 is None or p2g is None:
+            return self._decide_exactly(q)
+        # h's p2 = <<beta_re (q/beta - p1) + q/beta^2>> = <<q E - p1 beta_re>>
+        p2 = _ball_nearest(q * e - p1 * b_re, q * r_e + abs(p1) * r_b_re, s)
+        g = q * s + p1 * c1 + p2g * c2
+        g_rad = abs(p1) * r_c1 + abs(p2g) * r_c2
+        if g + g_rad <= 0:
+            return 0
+        if p2 is None or g - g_rad <= 0:
+            return self._decide_exactly(q)
+        (k1, r1), (k2, r2), (fa, ra), (fb, rb), (fc, rc) = self.params._balls
+        t_mid, t_rad = self.params._theta_ball
+        h = q * (q * t_mid - p1 * k1 - p2 * k2) + p1 * (p1 * fa + p2 * fb) \
+            + p2 * p2 * fc
+        h_rad = q * (q * t_rad + abs(p1) * r1 + abs(p2) * r2) \
+            + p1 * p1 * ra + abs(p1 * p2) * rb + p2 * p2 * rc
+        # h^2 g and the threshold, both at scale s^2
+        lhs, lhs_rad = h * g, abs(h) * g_rad + h_rad * (g + g_rad)
+        if lhs + lhs_rad < (thr - r_thr) * s:
+            return 1
+        if lhs - lhs_rad >= (thr + r_thr) * s:
+            return 0
+        return self._decide_exactly(q)
+
+    def _decide_exactly(self, q: int) -> int:
+        """``__call__``'s answer from exact elements and sign tests."""
         terms = self._terms(q)
         gm = self._g(terms)
         if exact_sign(gm) <= 0:
@@ -520,8 +564,12 @@ class PisotGpPredicate:
         return None
 
 
-def pisot_gp_set(params: PisotCubicParams) -> PisotGpPredicate:
-    return PisotGpPredicate(params)
+def _ball_nearest(mid: int, rad: int, scale: int) -> Optional[int]:
+    """<<x>> for every x within rad/scale of mid/scale, or None when that
+    ball straddles a half-integer (ties round up, as ``exact_nearest``)."""
+    half = scale >> 1
+    lo = (mid - rad + half) // scale
+    return lo if lo == (mid + rad + half) // scale else None
 
 
 # ---------------------------------------------------------------------------

@@ -46,11 +46,11 @@ from nilseq.ipsets import contains_fs, geometric_generators
 from nilseq.orbits import TorusSkewSystem, residue_indicator, skew_orbit_point, \
     heisenberg_fracpart
 from nilseq.recurrence import (
+    PisotGpPredicate,
     best_approximations,
     cubic_terms,
     fibonacci_like_set,
     pisot_cubic_check,
-    pisot_gp_set,
     quadratic_margin,
     quadratic_terms,
     scan_quadratic_set,
@@ -153,7 +153,7 @@ def test_criterion_05_fibonacci():
         assert exact_compare(m, lo) > 0 and exact_compare(m, hi) < 0
 
 
-@criterion(6, 120, "cubic Pisot (1,0): best approximations, norm decay, gp predicate")
+@criterion(6, 30, "cubic Pisot (1,0): best approximations, norm decay, gp predicate")
 def test_criterion_06_pisot():
     params = pisot_cubic_check(1, 0)
     qmax = 10**5
@@ -176,7 +176,7 @@ def test_criterion_06_pisot():
         hi = exact_mul(params.m1_sq, Fraction(10201, 10000))
         assert exact_compare(scaled, lo) > 0 and exact_compare(scaled, hi) < 0
     # gp predicate vs flags up to qmax: finite, explicitly listed difference
-    pred = pisot_gp_set(params)
+    pred = PisotGpPredicate(params)
     members = {q for q in range(1, qmax + 1) if pred(q)}
     gp_diff = sorted(members ^ set(flagged))
     assert len(gp_diff) <= 4, gp_diff

@@ -54,6 +54,30 @@ def test_gp_eval_example(files):
     assert rep["results"]["value"] == 2
 
 
+@pytest.mark.parametrize("action, point, other, results", [
+    ("eval", ["--n", "3"], ["--range", "3", "4"], {"value": 4}),
+    ("scan", ["--range", "2", "4"], ["--n", "3"],
+     {"values": [{"n": 2, "value": 2.0}, {"n": 3, "value": 4.0}]}),
+    ("compare", ["--range", "0", "40"], ["--n", "3"], {"disagreements": 0}),
+    ("equidist", [], ["--range", "0", "4"], {"samples": 50}),
+])
+def test_gp_reads_only_its_point_flag(tmp_path, action, point, other, results):
+    path = tmp_path / "sqrt2.gp"
+    path.write_text("(floor (* (sqrt 2) n))")
+    base = ["gp", action, "--expr-file", str(path), "--expr2-file", str(path),
+            "--samples", "50"]
+    code, rep = invoke(base + point)
+    assert code == 0
+    assert {k: rep["results"][k] for k in results} == results
+    code, rep = invoke(base + point + other)
+    assert code == 1
+    assert rep["results"]["error"] == f"gp {action} does not read {other[0]}"
+    if point:
+        code, rep = invoke(base)
+        assert code == 1
+        assert rep["results"]["error"] == f"gp {action} needs {point[0]}"
+
+
 def test_automaton_kernel(files):
     code, rep = invoke(["automaton", "kernel", "--file", str(files / "tm.aut")])
     assert code == 0 and rep["results"]["kernel_size"] == 2

@@ -19,6 +19,7 @@ from nilseq.genpoly import PrecisionPolicy
 from nilseq.recurrence import (
     InvalidPisot,
     PisotCubicParams,
+    PisotGpPredicate,
     _lattice_min,
     best_approximations,
     cubic_terms,
@@ -27,11 +28,9 @@ from nilseq.recurrence import (
     leading_coefficient,
     nearest_power_set_equiv,
     pisot_cubic_check,
-    pisot_gp_set,
     quadratic_margin,
     quadratic_member,
     quadratic_terms,
-    rauzy_norm_sq,
     scan_quadratic_set,
     variable_coefficient_terms,
 )
@@ -55,7 +54,7 @@ def test_member_examples():
 @pytest.mark.parametrize("a", [1, 2, 3])
 def test_legendre_inclusion(a):
     # for a <= 7 every solution of ||n alpha|| < 1/(2n) below 10^6 is a
-    # recurrence term; for a >= 8 each 2 q_k is one too (ROADMAP item 3)
+    # recurrence term; for a >= 8 each 2 q_k is one too (ROADMAP item 2)
     members = scan_quadratic_set(a, 10**6)
     terms = set(quadratic_terms(a, 64))
     assert all(m in terms for m in members)
@@ -161,10 +160,11 @@ def test_root_identities():
 
 def test_rauzy_norm_examples():
     p = pisot_cubic_check(1, 0)
-    assert rauzy_norm_sq(p, 0, 0).is_zero()
+    zero, one = Fraction(0), Fraction(1)
+    assert p.norm_sq(zero, zero).is_zero()
     # N((1,0))^2 = |alpha|^2 = 1/beta, N((0,1))^2 = 1/beta^2 for b = 0
-    assert exact_add(rauzy_norm_sq(p, 1, 0), exact_neg(p.beta_inv)).is_zero()
-    assert exact_add(rauzy_norm_sq(p, 0, 1), exact_neg(p.beta_inv2)).is_zero()
+    assert exact_add(p.norm_sq(one, zero), exact_neg(p.beta_inv)).is_zero()
+    assert exact_add(p.norm_sq(zero, one), exact_neg(p.beta_inv2)).is_zero()
 
 
 def test_recurrence_increasing_threshold():
@@ -281,7 +281,7 @@ def test_box_filter_fallback_agrees(monkeypatch, a, b):
 
 def test_gp_predicate_on_terms():
     p = pisot_cubic_check(1, 0)
-    pred = pisot_gp_set(p)
+    pred = PisotGpPredicate(p)
     terms = cubic_terms(1, 0, 26)
     for n in range(10, 26):
         assert pred(terms[n]) == 1
@@ -290,7 +290,7 @@ def test_gp_predicate_on_terms():
 
 def test_gp_predicate_vs_flags_small():
     p = pisot_cubic_check(1, 0)
-    pred = pisot_gp_set(p)
+    pred = PisotGpPredicate(p)
     rep = best_approximations(p, 1500)
     members = {q for q in range(1, 1501) if pred(q)}
     assert members == set(rep.flagged_qs)
@@ -298,7 +298,7 @@ def test_gp_predicate_vs_flags_small():
 
 def test_gp_predicate_precision_independent():
     p = pisot_cubic_check(1, 0)
-    pred = pisot_gp_set(p)
+    pred = PisotGpPredicate(p)
     probes = [1, 2, 9, 10, 60, 61, 406, 872, 1278, 1279]
     for q in probes:
         r256 = pred.interval_replay(q, 256)
@@ -311,7 +311,7 @@ def test_gp_predicate_precision_independent():
 def test_gp_predicate_exact_ties(a, b, qs):
     # h(q)^2 g(q) equals the threshold exactly: not a member, and no
     # enclosure can decide it
-    pred = pisot_gp_set(pisot_cubic_check(a, b))
+    pred = PisotGpPredicate(pisot_cubic_check(a, b))
     for q in qs:
         lhs = exact_mul(pred.h_sq(q), pred.g_value(q))
         assert exact_compare(lhs, pred.threshold) == 0
@@ -320,9 +320,41 @@ def test_gp_predicate_exact_ties(a, b, qs):
         assert pred.interval_replay(q, 1024) is None
 
 
+@functools.lru_cache(maxsize=None)
+def _predicate(a, b):
+    return PisotGpPredicate(_pisot(a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SURVEY_PARAMS), st.integers(1, 1 << 22))
+@example((1, 0), 1873)  # a member
+@example((1, 1), 1431)  # an exact tie: only the exact path decides it
+@example((2, 0), 65501)  # another exact tie
+@example((3, 1), 4194281)  # a ball that overlaps the threshold's
+def test_gp_predicate_balls_match_exact(ab, q):
+    pred = _predicate(*ab)
+    assert pred(q) == pred._decide_exactly(q)
+
+
+@pytest.mark.parametrize("bits", [4, 24])
+@pytest.mark.parametrize("a, b", [(1, 0), (3, -1)])
+def test_gp_predicate_fallback_agrees(monkeypatch, a, b, bits):
+    # coarse balls leave many decisions to the exact path: at 4 bits all of
+    # them, at 24 bits over half, so both paths decide some q
+    want = [q for q in range(1, 1501) if _predicate(a, b)(q)]
+    monkeypatch.setattr(recurrence, "exact_ball", lambda x, _: exact_ball(x, bits))
+    pred = PisotGpPredicate(pisot_cubic_check(a, b))
+    exact = []
+    decide = pred._decide_exactly
+    monkeypatch.setattr(pred, "_decide_exactly",
+                        lambda q: exact.append(q) or decide(q))
+    assert [q for q in range(1, 1501) if pred(q)] == want
+    assert len(exact) > 500
+
+
 def test_gp_predicate_other_family():
     p = pisot_cubic_check(2, -1)
-    pred = pisot_gp_set(p)
+    pred = PisotGpPredicate(p)
     rep = best_approximations(p, 800)
     members = {q for q in range(1, 801) if pred(q)}
     assert len(members ^ set(rep.flagged_qs)) <= 3
