@@ -12,9 +12,11 @@ Two layers cooperate here:
   or a cubic element outside Q, is irrational, so refining its bounds
   always settles its floor and sign;
 
-* ``IntervalValue`` enclosures with dyadic endpoints for everything else
-  (pi, e, roots of higher degree, mixed-field products), refinable to any
-  requested precision with nested (monotone) refinement.
+* ``IntervalValue`` enclosures for everything else (pi, e, roots of higher
+  degree, mixed-field products): integer numerators over one denominator,
+  never reduced, refinable to any requested precision with nested
+  (monotone) refinement.  Roots of higher degree bisect on integer
+  numerators too.
 
 Floors of interval values are resolved only when the enclosure excludes the
 neighbouring integers; equality with an integer can never be proven by an
@@ -114,28 +116,7 @@ def decide(fn: Callable[[int], T], policy: Optional[PrecisionPolicy] = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# dyadic helpers
-
-
-def _sqrt_frac_below(x: Fraction, bits: int) -> Fraction:
-    """Dyadic lower bound of sqrt(x), x >= 0, within 2^-bits."""
-    if x < 0:
-        raise ValueError("sqrt of negative value")
-    p, q = x.numerator, x.denominator
-    # sqrt(p/q) = sqrt(p*q)/q
-    scaled = math.isqrt(p * q * (1 << (2 * bits)))
-    return Fraction(scaled, q << bits)
-
-
-def _sqrt_frac_above(x: Fraction, bits: int) -> Fraction:
-    if x < 0:
-        raise ValueError("sqrt of negative value")
-    p, q = x.numerator, x.denominator
-    s = p * q * (1 << (2 * bits))
-    r = math.isqrt(s)
-    if r * r < s:
-        r += 1
-    return Fraction(r, q << bits)
+# squarefree parts
 
 
 _TRIAL_BOUND = 1 << 16
@@ -174,82 +155,145 @@ def _squarefree(n: int) -> tuple[int, int]:
 # interval values
 
 
-@dataclass(frozen=True)
 class IntervalValue:
-    """Closed dyadic-rational enclosure [lower, upper] of a real number."""
+    """Closed enclosure [lo/den, hi/den] of a real number: integer numerators
+    over one positive denominator, never reduced.  Sums align denominators
+    by lcm, so repeated sums keep their size; products multiply them.
+    ``lower`` and ``upper`` are the reduced endpoints, and ``==`` and
+    ``hash`` compare values.  Immutable: caches share instances."""
 
-    lower: Fraction
-    upper: Fraction
-    precision_bits: int
+    __slots__ = ("lo", "hi", "den", "precision_bits")
 
-    def __post_init__(self):
-        if self.lower > self.upper:
+    def __init__(self, lower, upper, precision_bits: int):
+        lower, upper = Fraction(lower), Fraction(upper)
+        if lower > upper:
             raise ValueError("empty interval")
+        m1, m2, self.den = _common(lower.denominator, upper.denominator)
+        self.lo, self.hi = lower.numerator * m1, upper.numerator * m2
+        self.precision_bits = precision_bits
 
     @classmethod
     def exactly(cls, x, bits: int = 0) -> "IntervalValue":
-        f = Fraction(x)
-        return cls(f, f, bits)
+        if type(x) is not int:
+            x = Fraction(x)
+        return _interval(x.numerator, x.numerator, x.denominator, bits)
+
+    @property
+    def lower(self) -> Fraction:
+        return Fraction(self.lo, self.den)
+
+    @property
+    def upper(self) -> Fraction:
+        return Fraction(self.hi, self.den)
 
     @property
     def width(self) -> Fraction:
-        return self.upper - self.lower
+        return Fraction(self.hi - self.lo, self.den)
 
     def midpoint(self) -> Fraction:
-        return (self.lower + self.upper) / 2
+        return Fraction(self.lo + self.hi, 2 * self.den)
 
     def contains(self, x) -> bool:
         return self.lower <= x <= self.upper
 
+    def __eq__(self, other):
+        return (isinstance(other, IntervalValue)
+                and (self.lower, self.upper, self.precision_bits)
+                == (other.lower, other.upper, other.precision_bits))
+
+    def __hash__(self):
+        return hash((self.lower, self.upper, self.precision_bits))
+
+    def __repr__(self):
+        return f"IntervalValue({self.lower}, {self.upper}, {self.precision_bits})"
+
     def __add__(self, other: "IntervalValue") -> "IntervalValue":
-        return IntervalValue(self.lower + other.lower, self.upper + other.upper,
-                             min(self.precision_bits, other.precision_bits))
+        p, q = self.precision_bits, other.precision_bits
+        if self.den == other.den:
+            return _interval(self.lo + other.lo, self.hi + other.hi, self.den,
+                             p if p < q else q)
+        m1, m2, den = _common(self.den, other.den)
+        return _interval(self.lo * m1 + other.lo * m2,
+                         self.hi * m1 + other.hi * m2, den, p if p < q else q)
 
     def __neg__(self) -> "IntervalValue":
-        return IntervalValue(-self.upper, -self.lower, self.precision_bits)
+        return _interval(-self.hi, -self.lo, self.den, self.precision_bits)
 
     def __sub__(self, other: "IntervalValue") -> "IntervalValue":
         return self + (-other)
 
     def __mul__(self, other: "IntervalValue") -> "IntervalValue":
-        products = (self.lower * other.lower, self.lower * other.upper,
-                    self.upper * other.lower, self.upper * other.upper)
-        return IntervalValue(min(products), max(products),
-                             min(self.precision_bits, other.precision_bits))
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        if a == b or c == d or (a >= 0 and c >= 0):
+            # a point or two nonnegative factors: a c and b d are the ends
+            lo, hi = a * c, b * d
+            if lo > hi:
+                lo, hi = hi, lo
+        else:
+            products = (a * c, a * d, b * c, b * d)
+            lo, hi = min(products), max(products)
+        p, q = self.precision_bits, other.precision_bits
+        return _interval(lo, hi, self.den * other.den, p if p < q else q)
 
     def intersect(self, other: "IntervalValue") -> "IntervalValue":
-        return IntervalValue(max(self.lower, other.lower),
-                             min(self.upper, other.upper),
-                             max(self.precision_bits, other.precision_bits))
+        m1, m2, den = _common(self.den, other.den)
+        lo = max(self.lo * m1, other.lo * m2)
+        hi = min(self.hi * m1, other.hi * m2)
+        if lo > hi:
+            raise ValueError("empty interval")
+        return _interval(lo, hi, den,
+                         max(self.precision_bits, other.precision_bits))
 
     def floor_resolved(self) -> Optional[int]:
         """The common floor of every point in the enclosure, if determined."""
-        fl = self.lower.__floor__()
-        fu = self.upper.__floor__()
-        return fl if fl == fu else None
+        f = self.lo // self.den
+        return f if f == self.hi // self.den else None
 
     def sign(self) -> Optional[int]:
-        if self.lower > 0:
+        if self.lo > 0:
             return 1
-        if self.upper < 0:
+        if self.hi < 0:
             return -1
-        if self.lower == 0 == self.upper:
+        if self.lo == 0 == self.hi:
             return 0
         return None
 
     def sqrt(self, bits: int) -> "IntervalValue":
-        if self.upper < 0:
+        """Each reduced endpoint p/q widened outward to a multiple of
+        1/(q 2^bits), as sqrt(p/q) = sqrt(p q)/q."""
+        if self.hi < 0:
             raise ValueError("sqrt of a negative enclosure")
-        lo = max(self.lower, Fraction(0))
-        return IntervalValue(_sqrt_frac_below(lo, bits),
-                             _sqrt_frac_above(self.upper, bits),
+        lo, hi = Fraction(max(self.lo, 0), self.den), self.upper
+        r_lo = math.isqrt(lo.numerator * lo.denominator << 2 * bits)
+        s = hi.numerator * hi.denominator << 2 * bits
+        r_hi = math.isqrt(s)
+        r_hi += r_hi * r_hi < s
+        return IntervalValue(Fraction(r_lo, lo.denominator << bits),
+                             Fraction(r_hi, hi.denominator << bits),
                              min(self.precision_bits, bits))
 
     def to_float(self) -> float:
-        return float(self.midpoint())
+        return (self.lo + self.hi) / (2 * self.den)
 
     def nests_inside(self, other: "IntervalValue") -> bool:
-        return other.lower <= self.lower and self.upper <= other.upper
+        return (other.lo * self.den <= self.lo * other.den
+                and self.hi * other.den <= other.hi * self.den)
+
+
+_new = object.__new__
+
+
+def _interval(lo: int, hi: int, den: int, bits: int) -> IntervalValue:
+    """[lo/den, hi/den] at bits, unchecked: lo <= hi and den > 0."""
+    iv = _new(IntervalValue)
+    iv.lo, iv.hi, iv.den, iv.precision_bits = lo, hi, den, bits
+    return iv
+
+
+def _common(d1: int, d2: int) -> tuple[int, int, int]:
+    """m1, m2 and lcm(d1, d2) = d1 m1 = d2 m2."""
+    g = math.gcd(d1, d2)
+    return d2 // g, d1 // g, d1 // g * d2
 
 
 # ---------------------------------------------------------------------------
@@ -412,40 +456,51 @@ def _surd_bounds(x: SurdSum, bits: int) -> tuple[int, int, int]:
 # cubic number fields
 
 
+def _sign_at(coeffs: tuple[int, ...], x: int, den: int) -> int:
+    """Sign of p(x/den), den > 0, by Horner on the integer
+    den^deg p(x/den) = sum c_i x^(deg-i) den^i."""
+    v, scale = coeffs[0], 1
+    for c in coeffs[1:]:
+        scale *= den
+        v = v * x + c * scale
+    return (v > 0) - (v < 0)
+
+
 class _BisectRoot:
     """A designated simple root of an integer polynomial, isolated in
-    [lo, hi] and refined by bisection with nested enclosures."""
+    [lo/den, hi/den] and refined by bisection with nested enclosures.  Each
+    step doubles lo, hi and den, so that the midpoint (lo + hi) / (2 den)
+    is the integer numerator lo + hi over the new den."""
 
     def __init__(self, coeffs, lo, hi):
         self.coeffs = tuple(int(c) for c in coeffs)
-        self._lo, self._hi = Fraction(lo), Fraction(hi)
-        slo, shi = self._poly_sign(self._lo), self._poly_sign(self._hi)
+        iv = IntervalValue(lo, hi, 0)
+        self._lo, self._hi, self._den = iv.lo, iv.hi, iv.den
+        slo, shi = (_sign_at(self.coeffs, x, iv.den) for x in (iv.lo, iv.hi))
         if slo == 0 or shi == 0 or slo == shi:
             raise ValueError("interval endpoints must straddle a simple root")
         self._sign_lo = slo
 
-    def _poly_sign(self, x: Fraction) -> int:
-        v = Fraction(self.coeffs[0])
-        for c in self.coeffs[1:]:
-            v = v * x + c
-        return (v > 0) - (v < 0)
-
-    def refine(self, bits: int) -> tuple[Fraction, Fraction]:
-        target = Fraction(1, 1 << bits)
-        while self._hi - self._lo > target:
-            mid = (self._lo + self._hi) / 2
-            sm = self._poly_sign(mid)
+    def refine(self, bits: int) -> tuple[int, int, int]:
+        """Integers lo, hi, den with the root in [lo/den, hi/den] and
+        hi - lo <= den 2^-bits."""
+        lo, hi, den = self._lo, self._hi, self._den
+        coeffs, sign_lo = self.coeffs, self._sign_lo
+        while (hi - lo) << bits > den:
+            mid = lo + hi
+            lo, hi, den = lo << 1, hi << 1, den << 1
+            sm = _sign_at(coeffs, mid, den)
             if sm == 0:
                 raise ValueError("rational root hit: polynomial is reducible")
-            if sm == self._sign_lo:
-                self._lo = mid
+            if sm == sign_lo:
+                lo = mid
             else:
-                self._hi = mid
-        return self._lo, self._hi
+                hi = mid
+        self._lo, self._hi, self._den = lo, hi, den
+        return lo, hi, den
 
     def enclosure(self, bits: int) -> IntervalValue:
-        lo, hi = self.refine(bits)
-        return IntervalValue(lo, hi, bits)
+        return _interval(*self.refine(bits), bits)
 
 
 def _has_integer_root(a: int, b: int, c: int) -> bool:
@@ -512,14 +567,10 @@ class CubicField(_BisectRoot):
         denominator); cached per bits."""
         cached = self._bounds.get(bits)
         if cached is None:
-            lo, hi = self.refine(bits)
-            d = math.lcm(lo.denominator, hi.denominator)
-            lo_n = lo.numerator * (d // lo.denominator)
-            hi_n = hi.numerator * (d // hi.denominator)
+            lo, hi, d = self.refine(bits)
             # beta^2 is smallest at 0 when the enclosure straddles it
-            sq_lo = 0 if lo_n < 0 < hi_n else min(lo_n * lo_n, hi_n * hi_n)
-            cached = (d * d, lo_n * d, hi_n * d, sq_lo,
-                      max(lo_n * lo_n, hi_n * hi_n))
+            sq_lo = 0 if lo < 0 < hi else min(lo * lo, hi * hi)
+            cached = (d * d, lo * d, hi * d, sq_lo, max(lo * lo, hi * hi))
             self._bounds[bits] = cached
         return cached
 
@@ -542,9 +593,9 @@ class CubicField(_BisectRoot):
         # 1/(9 sum c_i^2) apart (Mahler), so enclosures narrower than half
         # that bound meet exactly when they hold the same root
         bits = (18 * sum(c * c for c in self.coeffs)).bit_length()
-        lo, hi = self.refine(bits)
-        other_lo, other_hi = other.refine(bits)
-        return lo <= other_hi and other_lo <= hi
+        lo, hi, d = self.refine(bits)
+        other_lo, other_hi, other_d = other.refine(bits)
+        return lo * other_d <= other_hi * d and other_lo * d <= hi * other_d
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -772,9 +823,8 @@ def exact_dist(x: Exact) -> Exact:
 
 def exact_enclosure(x: Exact, bits: int) -> IntervalValue:
     if isinstance(x, Fraction):
-        return IntervalValue.exactly(x, bits)
-    lo, hi, scale = _bounds(x, bits)
-    return IntervalValue(Fraction(lo, scale), Fraction(hi, scale), bits)
+        return _interval(x.numerator, x.numerator, x.denominator, bits)
+    return _interval(*_bounds(x, bits), bits)
 
 
 def exact_ball(x: Union[SurdSum, CubicElem], bits: int) -> tuple[int, int, int]:
@@ -875,25 +925,15 @@ def value_dist(x: Value, bits: int) -> Value:
     if not isinstance(x, IntervalValue):
         return exact_dist(x)
     y = value_add(x, Fraction(-value_nearest(x, bits)), bits)
-    if y.lower >= 0:
+    if y.lo >= 0:
         return y
-    if y.upper <= 0:
+    if y.hi <= 0:
         return -y
-    return IntervalValue(Fraction(0), max(-y.lower, y.upper), y.precision_bits)
+    return _interval(0, max(-y.lo, y.hi), y.den, y.precision_bits)
 
 
 # ---------------------------------------------------------------------------
 # named constants and roots
-
-
-def _mpf_to_fraction(raw) -> Fraction:
-    """An mpf value tuple (sign, man, exp, bc) as an exact Fraction."""
-    sign, man, exp, _ = raw
-    man, exp = int(man), int(exp)  # the gmpy backend hands back mpz
-    if man == 0:
-        return Fraction(0)
-    val = Fraction(man) * (Fraction(2) ** exp)
-    return -val if sign else val
 
 
 _named_cache: dict[tuple[str, int], IntervalValue] = {}
@@ -906,13 +946,17 @@ def _named_enclosure(name: str, bits: int) -> IntervalValue:
         try:
             mpmath.iv.prec = bits + 16
             x = mpmath.iv.pi if name == "pi" else mpmath.iv.e
-            # the raw endpoint tuples: x.a and x.b would round to mp.prec
-            lo, hi = (_mpf_to_fraction(end) for end in x._mpi_)
+            # the raw endpoint tuples (sign, man, exp, bc): x.a and x.b
+            # would round to mp.prec; the gmpy backend hands back mpz
+            ends = [(sign, int(man), int(exp)) for sign, man, exp, _ in x._mpi_]
         finally:
             mpmath.iv.prec = old_prec
-        # widen as a safety margin beyond the library's own outward rounding
-        ulp = Fraction(1, 1 << (bits + 8))
-        _named_cache[key] = IntervalValue(lo - ulp, hi + ulp, bits)
+        # both endpoints over 2^k, widened by 2^-(bits+8) as a safety margin
+        # beyond the library's own outward rounding
+        k = max(bits + 8, *(-exp for _, _, exp in ends))
+        lo, hi = ((-man if sign else man) << (k + exp) for sign, man, exp in ends)
+        ulp = 1 << (k - bits - 8)
+        _named_cache[key] = _interval(lo - ulp, hi + ulp, 1 << k, bits)
     return _named_cache[key]
 
 

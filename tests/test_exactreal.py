@@ -14,6 +14,7 @@ from nilseq.exactreal import (
     NeedsMoreBits,
     PrecisionExhausted,
     PrecisionPolicy,
+    _interval,
     decide,
     exact_add,
     exact_ball,
@@ -223,12 +224,120 @@ def test_interval_ops():
     assert (-a).upper == Fraction(-1)
     assert a.floor_resolved() is None
     assert IntervalValue(Fraction(3, 2), Fraction(7, 4), 8).floor_resolved() == 1
+    # a point over another denominator: 1/3 + [1, 2] = [4/3, 7/3] over 3
+    s = IntervalValue.exactly(Fraction(1, 3), 8) + a
+    assert (s.lo, s.hi, s.den) == (4, 7, 3)
+    assert (s.lower, s.upper) == (Fraction(4, 3), Fraction(7, 3))
+    # products multiply the denominators and never reduce; the endpoints
+    # read back reduced, and the value decides == and hash
+    p = IntervalValue.exactly(Fraction(1, 2)) * IntervalValue.exactly(2)
+    assert (p.lo, p.hi, p.den) == (2, 2, 2)
+    assert p.lower.denominator == 1 and p == IntervalValue.exactly(1)
+    assert hash(p) == hash(IntervalValue.exactly(1))
+    assert p != IntervalValue.exactly(1, 8)  # the precision is compared too
+    assert (b * b).lower == Fraction(-1, 2) and (b * b).sign() is None
+    with pytest.raises(ValueError, match="empty interval"):
+        IntervalValue(Fraction(1), Fraction(1, 2), 8)
+    with pytest.raises(ValueError, match="empty interval"):
+        a.intersect(IntervalValue(Fraction(3), Fraction(4), 8))
+
+
+@st.composite
+def intervals(draw):
+    """An IntervalValue over a drawn denominator, often with a common factor
+    left in the numerators: points, intervals around 0, one-sided ones."""
+    den = draw(st.sampled_from([1, 2, 3, 7, 12, 1 << 64, 3 << 70]))
+    lo = draw(st.integers(-10**6, 10**6))
+    hi = lo + draw(st.one_of(st.just(0), st.integers(0, 2 * 10**6)))
+    k = draw(st.sampled_from([1, 1, 2, 6]))
+    return _interval(lo * k, hi * k, den * k, draw(st.integers(0, 128)))
+
+
+def _ends(iv: IntervalValue) -> tuple[Fraction, Fraction]:
+    assert type(iv.lower) is type(iv.upper) is Fraction
+    return iv.lower, iv.upper
+
+
+@given(intervals(), intervals(), st.sampled_from([1, 5, 1 << 40]))
+@settings(max_examples=400, deadline=None)
+def test_interval_ops_match_fraction_endpoints(x, y, k):
+    (a, b), (c, d) = _ends(x), _ends(y)
+    bits = min(x.precision_bits, y.precision_bits)
+    products = (a * c, a * d, b * c, b * d)
+    for got, want in ((x + y, (a + c, b + d)), (x - y, (a - d, b - c)),
+                      (x * y, (min(products), max(products))),
+                      (-x, (-b, -a))):
+        assert _ends(got) == want
+        assert got.den > 0
+    assert (x + y).precision_bits == (x * y).precision_bits == bits
+    if max(a, c) <= min(b, d):
+        meet = x.intersect(y)
+        assert _ends(meet) == (max(a, c), min(b, d))
+        assert meet.precision_bits == max(x.precision_bits, y.precision_bits)
+    else:
+        with pytest.raises(ValueError, match="empty interval"):
+            x.intersect(y)
+    for iv, lo, hi in ((x, a, b), (y, c, d)):
+        fl, fu = math.floor(lo), math.floor(hi)
+        assert iv.floor_resolved() == (fl if fl == fu else None)
+        want = 1 if lo > 0 else -1 if hi < 0 else 0 if lo == hi == 0 else None
+        assert iv.sign() == want
+        assert iv.to_float() == float((lo + hi) / 2)
+    assert x.nests_inside(y) == (c <= a and b <= d)
+    assert (x == y) == ((a, b, x.precision_bits) == (c, d, y.precision_bits))
+    # the same value over a k times larger denominator
+    same = _interval(x.lo * k, x.hi * k, x.den * k, x.precision_bits)
+    assert same == x and hash(same) == hash(x) and _ends(same) == (a, b)
+    assert same.nests_inside(x) and x.nests_inside(same)
+    assert _ends(same + y) == _ends(x + y) and _ends(same * y) == _ends(x * y)
 
 
 def test_interval_sqrt_brackets():
     iv = IntervalValue(Fraction(2), Fraction(2), 64).sqrt(64)
     assert iv.lower**2 <= 2 <= iv.upper**2
     assert iv.width < Fraction(1, 1 << 60)
+
+
+def _fraction_bisect(coeffs, lo: Fraction, hi: Fraction, bits: int):
+    """The bisection on Fraction endpoints with Fraction Horner signs that
+    the integer one replaced: the same midpoints, step for step."""
+    def sign(x):
+        v = Fraction(coeffs[0])
+        for c in coeffs[1:]:
+            v = v * x + c
+        return (v > 0) - (v < 0)
+
+    sign_lo = sign(lo)
+    while hi - lo > Fraction(1, 1 << bits):
+        mid = (lo + hi) / 2
+        assert sign(mid) != 0
+        if sign(mid) == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+# roots in [1/3, 5/3]: 2^(1/4), x^5 - x - 1, 3^(1/6), x^6 - x - 1, 7^(1/5)
+BISECTED = [(1, 0, 0, 0, -2), (1, 0, 0, 0, -1, -1), (1, 0, 0, 0, 0, 0, -3),
+            (1, 0, 0, 0, 0, -1, -1), (1, 0, 0, 0, 0, -7)]
+
+
+@given(st.sampled_from(BISECTED), st.integers(8, 512), st.integers(8, 512))
+@settings(max_examples=60, deadline=None)
+def test_integer_bisection_matches_fraction_bisection(coeffs, first, second):
+    lo, hi = Fraction(1, 3), Fraction(5, 3)
+    root = ExactReal.algebraic_root(coeffs, lo, hi).payload
+    for bits in (first, second):  # refining further, or asking for less
+        lo, hi = _fraction_bisect(coeffs, lo, hi, bits)
+        iv = root.enclosure(bits)
+        assert (iv.lower, iv.upper, iv.precision_bits) == (lo, hi, bits)
+
+
+def test_bisection_stops_on_a_dyadic_root():
+    root = ExactReal.algebraic_root([1, 0, 0, 0, 0, -32], 1, 3)  # hits 2
+    with pytest.raises(ValueError, match="rational root hit"):
+        root.enclosure(8)
 
 
 def test_named_constants():

@@ -140,6 +140,88 @@ def test_interval_enclosures_nest_without_floors():
     assert r96.enclosure.nests_inside(r48.enclosure)
 
 
+ROOT5 = "(root 1 0 0 0 -1 -1 1 2)"  # the real root of x^5 - x - 1
+ROOT6 = "(root 1 0 0 0 0 0 -32 1 2)"  # 2^(5/6), degree 6
+MIXED = "(* (root 1 0 0 -2 1 2) (sqrt 2))"  # 2^(1/3) sqrt 2 = 2^(5/6)
+PINNED_EXPRS = {
+    "pi_n2": "(floor (* pi n n))",
+    "e_n": "(floor (* e n))",
+    "pi_n": "(floor (* pi n))",
+    "root5_n": f"(floor (* {ROOT5} n))",
+    "root6_n": f"(floor (* {ROOT6} n))",
+    "mixed_n": f"(floor (* {MIXED} n))",
+    "nested": f"(floor (* {ROOT5} n (floor (* e n))))",
+    "mixsum": f"(floor (+ (* pi n) (* {MIXED} n) 1/3))",
+}
+# (expression, n, floor, bits_used) on the interval path, each expression
+# parsed afresh, under the default ceiling: the rung that decides a floor
+# is pinned along with the floor
+PINNED = [
+    ('pi_n2', 7, 153, 64),
+    ('pi_n2', 1000000007, 3141592697572090542, 64),
+    ('pi_n2', 100000000000000000, 31415926535897932384626433832795028, 128),
+    ('pi_n2', 1000000000000000000, 3141592653589793238462643383279502884, 128),
+    ('pi_n2', 10000000000000000000, 314159265358979323846264338327950288419, 128),
+    ('pi_n2', 100000000000000000000, 31415926535897932384626433832795028841971, 128),
+    ('pi_n2', 10000000000000000000000000, 314159265358979323846264338327950288419716939937510, 256),
+    ('e_n', 7, 19, 64),
+    ('e_n', 1000000007, 2718281847, 64),
+    ('e_n', 100000000000000000, 271828182845904523, 64),
+    ('e_n', 1000000000000000000, 2718281828459045235, 64),
+    ('e_n', 10000000000000000000, 27182818284590452353, 64),
+    ('e_n', 100000000000000000000, 271828182845904523536, 64),
+    ('e_n', 10000000000000000000000000, 27182818284590452353602874, 128),
+    ('pi_n', 7, 21, 64),
+    ('pi_n', 1000000007, 3141592675, 64),
+    ('pi_n', 100000000000000000, 314159265358979323, 64),
+    ('pi_n', 1000000000000000000, 3141592653589793238, 64),
+    ('pi_n', 10000000000000000000, 31415926535897932384, 64),
+    ('pi_n', 100000000000000000000, 314159265358979323846, 64),
+    ('pi_n', 10000000000000000000000000, 31415926535897932384626433, 128),
+    ('root5_n', 7, 8, 64),
+    ('root5_n', 1000000007, 1167303986, 64),
+    ('root5_n', 100000000000000000, 116730397826141868, 64),
+    ('root5_n', 1000000000000000000, 1167303978261418684, 64),
+    ('root5_n', 10000000000000000000, 11673039782614186842, 64),
+    ('root5_n', 100000000000000000000, 116730397826141868425, 128),
+    ('root5_n', 10000000000000000000000000, 11673039782614186842560458, 128),
+    ('root6_n', 7, 12, 64),
+    ('root6_n', 1000000007, 1781797448, 64),
+    ('root6_n', 100000000000000000, 178179743628067860, 64),
+    ('root6_n', 1000000000000000000, 1781797436280678609, 64),
+    ('root6_n', 10000000000000000000, 17817974362806786094, 128),
+    ('root6_n', 100000000000000000000, 178179743628067860948, 128),
+    ('root6_n', 10000000000000000000000000, 17817974362806786094804524, 128),
+    ('mixed_n', 7, 12, 64),
+    ('mixed_n', 1000000007, 1781797448, 64),
+    ('mixed_n', 100000000000000000, 178179743628067860, 64),
+    ('mixed_n', 1000000000000000000, 1781797436280678609, 64),
+    ('mixed_n', 10000000000000000000, 17817974362806786094, 128),
+    ('mixed_n', 100000000000000000000, 178179743628067860948, 128),
+    ('mixed_n', 10000000000000000000000000, 17817974362806786094804524, 128),
+    ('nested', 7, 155, 64),
+    ('nested', 1000000007, 3173061236250325528, 64),
+    ('nested', 100000000000000000, 31730611923959667660938072087499393, 128),
+    ('nested', 1000000000000000000, 3173061192395966771930327100057032727, 128),
+    ('nested', 10000000000000000000, 317306119239596677228051829353545833320, 256),
+    ('nested', 100000000000000000000, 31730611923959667723505565322311434542624, 256),
+    ('nested', 10000000000000000000000000, 317306119239596677235089201539449578599227541017080, 256),
+    ('mixsum', 7, 34, 64),
+    ('mixsum', 1000000007, 4923390124, 64),
+    ('mixsum', 100000000000000000, 492339008987047185, 64),
+    ('mixsum', 1000000000000000000, 4923390089870471848, 64),
+    ('mixsum', 10000000000000000000, 49233900898704718479, 128),
+    ('mixsum', 100000000000000000000, 492339008987047184794, 128),
+    ('mixsum', 10000000000000000000000000, 49233900898704718479430958, 128),
+]
+
+
+@pytest.mark.parametrize("name,n,value,bits", PINNED)
+def test_interval_path_pinned(name, n, value, bits):
+    res = eval_gp(parse_gp(PINNED_EXPRS[name]), n)
+    assert (res.integer_value, res.bits_used) == (value, bits)
+
+
 # --- floor_poly_mod ----------------------------------------------------
 
 

@@ -68,6 +68,19 @@ def test_closed_form_equals_iteration_exactly():
             assert exact_compare(a, b) == 0  # same exact field elements
 
 
+def test_iterated_enclosure_keeps_its_denominator():
+    # enclosures are integer numerators over one unreduced denominator; sums
+    # align it by lcm, so 2,000 steps of a pi skew product from {1/3} keep
+    # the last coordinate's denominator at the size it had after 20
+    sys_ = TorusSkewSystem((ExactReal.pi(), ExactReal.pi()), Fraction(1, 3))
+    z0 = sys_.base_point()
+    early = sys_.iterate(z0, 20)[-1]
+    late = sys_.iterate(z0, 2000)[-1]
+    assert late.den.bit_length() == early.den.bit_length()
+    assert late.den % 3 == 0
+    assert values_agree(late, sys_.closed_form(z0, 2000)[-1])
+
+
 def test_residue_indicator_matches_floor_mod():
     sys_ = TorusSkewSystem.from_poly([Fraction(0), Fraction(1, 3), SQRT2], 2)
     seq = floor_poly_mod([Fraction(0), Fraction(1, 3), ExactReal.sqrt(2)], 2)

@@ -27,3 +27,21 @@ def test_tracer_install_uninstall_restores_every_attribute():
         first.setdefault((id(owner), name), (owner, name, original))
     for owner, name, original in first.values():
         assert getattr(owner, name) is original, f"{owner!r}.{name} not restored"
+
+
+def test_tracer_sees_the_interval_path():
+    # floor(pi n^2) at n = 10 is decided from an enclosure: the tracer must
+    # time its interval products and the floor read off them
+    from nilseq import genpoly
+
+    expr = genpoly.parse_gp("(floor (* pi n n))")
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        assert genpoly.eval_gp(expr, 10).integer_value == 314
+        stats, counts = tracer.take()
+    finally:
+        tracer.uninstall()
+    assert stats["exactreal.interval"][0] == 2
+    assert stats["exactreal.interval.floor"][0] == 1
+    assert counts["eval.enclosure_decided"] == 1
